@@ -1,7 +1,7 @@
 """Scenario x sort-path benchmark matrix; writes BENCH_matrix.json.
 
 Sweeps every scenario in the catalog (:mod:`repro.workloads.scenarios`)
-across every sort path the repo grew -- in-memory multi-run, external
+across every sort path the repo grew -- in-memory single-run, external
 spilling, streaming Top-N, multi-core parallel, the concurrent query
 service, and the incremental (maintained-view) sorter -- and records one
 cell per (scenario, path):
@@ -150,7 +150,7 @@ def _dispatch_summary(stats) -> dict:
 
 
 def _run_in_memory(table, spec, rows):
-    config = SortConfig(run_threshold=max(2048, rows // 4))
+    config = SortConfig()
     operator = SortOperator(table.schema, spec, config)
     for chunk in chunk_table(table, config.vector_size):
         operator.sink(chunk)

@@ -141,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--run-threshold",
         type=int,
         default=None,
-        help="rows per sorted run (forces multi-run merging when small)",
+        help="rows per spilled run with --external (the in-memory sort is one run)",
     )
     sort_cmd.add_argument(
         "--no-compress-keys",
@@ -295,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--run-threshold",
         type=int,
         default=None,
-        help="rows per sorted run before the governor shrinks it",
+        help="rows per spilled run (--external) before the governor shrinks it",
     )
     serve_cmd.add_argument(
         "-o",
@@ -435,7 +435,6 @@ def _print_sort_stats(stats) -> None:
     print(f"prefix_exact: {stats.prefix_exact}", file=err)
     print(
         "merges: "
-        f"kernel={stats.kernel_merges} scalar={stats.scalar_merges} "
         f"kway_kernel={stats.kernel_kway_merges} "
         f"kway_scalar={stats.scalar_kway_merges}",
         file=err,

@@ -51,13 +51,10 @@ class PhysicalOperator:
 
 def collect(operator: PhysicalOperator) -> Table:
     """Drain an operator into one table (the client's result set)."""
-    result: Table | None = None
-    for chunk in operator.chunks():
-        table = chunk.to_table()
-        result = table if result is None else result.concat(table)
-    if result is None:
+    tables = [chunk.to_table() for chunk in operator.chunks()]
+    if not tables:
         return Table.empty(operator.schema)
-    return result
+    return tables[0].concat(*tables[1:])
 
 
 class ScanOperator(PhysicalOperator):
@@ -114,9 +111,8 @@ class SortExecOperator(PhysicalOperator):
     policy, checksum verification), so the fault-tolerance ladder is
     reachable end-to-end from ``Database(sort_config=...)``.
 
-    ``SortConfig.num_workers > 1`` routes either operator's run
-    generation (and the in-memory cascade merges) through the
-    multi-core executor of :mod:`repro.sort.parallel_exec`; the
+    ``SortConfig.num_workers > 1`` routes either operator's sort
+    through the multi-core executor of :mod:`repro.sort.parallel_exec`; the
     measured parallel schedule lands in ``last_stats`` next to the
     usual counters.
 

@@ -787,9 +787,8 @@ class ExternalSortOperator:
         if not self._buffer:
             return
         self._check_cancelled()
-        table = self._buffer[0].to_table()
-        for chunk in self._buffer[1:]:
-            table = table.concat(chunk.to_table())
+        first, *rest = [chunk.to_table() for chunk in self._buffer]
+        table = first.concat(*rest)
         self._buffer.clear()
         self._buffered_rows = 0
         keys = self._encode_run(table)
@@ -1037,7 +1036,7 @@ class ExternalSortOperator:
                 len(selected), dtype=np.int64
             )
             base += len(selected)
-        return _concat_tables(parts).take(gather)
+        return parts[0].concat(*parts[1:]).take(gather)
 
     def _refine_run_order(self, table, keys, order) -> np.ndarray:
         """Exact-string repair of one run's prefix-sorted permutation.
@@ -1915,7 +1914,6 @@ class ExternalSortOperator:
             pending_heap_parts.clear()
             pending_heap_bytes = 0
 
-        result: Table | None = None
         for run_index, position in self._heap_order():
             self._check_cancelled()
             if has_strings:
@@ -1931,10 +1929,10 @@ class ExternalSortOperator:
             if len(pending_rows) >= self.merge_block_rows:
                 flush_pending()
         flush_pending()
-        for block in out_blocks:
-            table = block.to_table()
-            result = table if result is None else result.concat(table)
-        return result if result is not None else Table.empty(self.schema)
+        if not out_blocks:
+            return Table.empty(self.schema)
+        first, *rest = [block.to_table() for block in out_blocks]
+        return first.concat(*rest)
 
     def _heap_order(self) -> Iterator[tuple[int, int]]:
         """Scalar merge order: a tournament heap over per-row key bytes.
@@ -2011,19 +2009,6 @@ def external_sort_table(
         for chunk in chunk_table(table, config.vector_size):
             operator.sink(chunk)
         return operator.finalize()
-
-
-def _concat_tables(parts: "list[Table]") -> Table:
-    """Pairwise tree concatenation: O(n log k) rows copied, not O(n k)."""
-    while len(parts) > 1:
-        merged = [
-            parts[i].concat(parts[i + 1])
-            if i + 1 < len(parts)
-            else parts[i]
-            for i in range(0, len(parts), 2)
-        ]
-        parts = merged
-    return parts[0]
 
 
 def _words_to_bytes(words: np.ndarray, width: int) -> np.ndarray:

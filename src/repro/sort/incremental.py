@@ -173,7 +173,7 @@ class IncrementalSorter:
         if delta.num_rows == 0:
             return
         # One fixed layout across deltas: forced 12-byte VARCHAR prefix
-        # (like the one-shot operator's multi-run rule), no stats-driven
+        # (like the external sort's spilled runs), no stats-driven
         # compression -- every run must memcmp against every other.
         string_prefix = self.config.string_prefix
         if string_prefix is None and self._has_string_key:
@@ -289,24 +289,12 @@ class IncrementalSorter:
         merged_keys = np.concatenate(
             [run.keys for run in self._runs], axis=0
         )[gather]
-        merged_table = self._concat_tables(
-            [run.table for run in self._runs]
-        ).take(gather)
+        first, *rest = [run.table for run in self._runs]
+        merged_table = first.concat(*rest).take(gather)
         self.stats.compactions += 1
         self.stats.runs_compacted += len(self._runs)
         self.stats.rows_compacted += len(merged_keys)
         self._runs = [_SortedRun(merged_keys, merged_table)]
-
-    @staticmethod
-    def _concat_tables(parts: list[Table]) -> Table:
-        while len(parts) > 1:
-            parts = [
-                parts[i].concat(parts[i + 1])
-                if i + 1 < len(parts)
-                else parts[i]
-                for i in range(0, len(parts), 2)
-            ]
-        return parts[0]
 
     def _refine(
         self, matrix: np.ndarray, table: Table, layout

@@ -1,20 +1,30 @@
-"""The relational sort operator: DuckDB's pipeline from Figure 11.
+"""The relational sort operator: DuckDB's Figure 11 pipeline on one core.
 
 The operator is a pipeline breaker: it sinks all input as vector chunks,
-then produces the fully sorted table.  The stages mirror the paper:
+then produces the fully sorted table in one pass:
 
-1. **Materialize** -- incoming vectors are buffered; when a buffer reaches
-   the run threshold it is converted to row formats: the ORDER BY columns
-   become *normalized keys* (one order-preserving byte string per row, with
-   a row-id suffix), all output columns become fixed-width NSM *payload
-   rows* with a string heap.
-2. **Run generation** -- the normalized keys of each buffer are sorted with
-   radix sort, or pdqsort with memcmp if the keys contain strings (DuckDB's
-   rule); the payload is immediately reordered, yielding fully sorted runs.
-3. **Merge** -- sorted runs are merged with a cascaded 2-way merge comparing
-   whole keys with memcmp (full strings break prefix ties), until one run
-   remains.
-4. **Output** -- the final row block is converted back to vectors/columns.
+1. **Buffer** -- incoming vector chunks are kept as they arrive.
+2. **Encode** -- at finalize the chunks become one table (one
+   concatenate per column) and the ORDER BY columns are encoded once into
+   *normalized keys*: one order-preserving byte string per row, with a
+   row-id suffix.  Key compression builds its layout from one statistics
+   pass over that table.
+3. **Sort** -- one stable vector sort of the key bytes
+   (:func:`repro.sort.heuristic.vector_sort_rows`, or the morsel-parallel
+   :class:`repro.sort.parallel_exec.ParallelSortExecutor` when
+   ``num_workers > 1``).  Truncated VARCHAR prefixes are repaired by one
+   :func:`repro.sort.stringsort.refine_key_order` pass over the sorted
+   keys.
+4. **Gather** -- the payload is one columnar ``Table.take`` of the
+   permutation.
+
+The paper cuts thread-local runs and merges them with a cascaded
+Merge-Path merge because 48 threads each sort a cache-sized run.  On one
+numpy core a single run is faster, so that cascade lives only in the
+simulator and system models (:mod:`repro.systems.duckdb_model`, the
+phase model of :mod:`repro.engine.parallel`).  Runs exist where they
+must: external spills (:mod:`repro.sort.external`), parallel morsels and
+incremental deltas (:mod:`repro.sort.incremental`).
 
 ``sort_table`` wraps the operator for one-shot use.
 """
@@ -24,21 +34,14 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
 from repro.errors import SortCancelledError, SortError
-from repro.keys.compression import (
-    KeyStatsAccumulator,
-    plain_key_width,
-    rebase_matrix,
-)
+from repro.keys.compression import KeyStatsAccumulator, plain_key_width
 from repro.keys.normalizer import MAX_STRING_PREFIX, NormalizedKeys, normalize_keys
-from repro.rows.block import RowBlock
 from repro.sort.heuristic import vector_sort_rows
-from repro.sort.kernels import merge_indices
-from repro.sort.stringsort import refine_key_order, refinement_must_defer
+from repro.sort.stringsort import refine_key_order
 from repro.sort.parallel_exec import (
     DEFAULT_MORSEL_ROWS as DEFAULT_PARALLEL_MORSEL_ROWS,
     ParallelSortExecutor,
@@ -58,7 +61,6 @@ from repro.types.sortspec import SortSpec, compare_values
 __all__ = [
     "SortConfig",
     "SortStats",
-    "SortedRun",
     "SortOperator",
     "sort_table",
     "effective_run_threshold",
@@ -81,10 +83,10 @@ def raise_if_cancelled(config: "SortConfig") -> None:
 def effective_run_threshold(config: "SortConfig") -> int:
     """The live run threshold: the configured one, shrunk by the grant.
 
-    Re-evaluated at every sink so a governor revoking grant bytes
-    mid-query takes effect at the next checkpoint -- the run is cut
-    (and spilled, on the external path) earlier than the static
-    configuration would have.
+    The external operator re-evaluates it at every sink so a governor
+    revoking grant bytes mid-query takes effect at the next checkpoint --
+    the run is cut and spilled earlier than the static configuration
+    would have.
     """
     threshold = config.run_threshold
     grant = config.memory_grant
@@ -155,7 +157,7 @@ def _segmented_argsort(table: Table, keys, spec: SortSpec) -> np.ndarray:
 
 
 DEFAULT_RUN_THRESHOLD = 1 << 17
-"""Rows buffered per thread before a sorted run is generated."""
+"""Rows an external sort buffers before it cuts and spills a run."""
 
 
 @dataclass(frozen=True)
@@ -163,7 +165,10 @@ class SortConfig:
     """Tuning knobs of the sort operator.
 
     Attributes:
-        run_threshold: rows accumulated before a sorted run is cut.
+        run_threshold: rows the external sort accumulates before it
+            cuts and spills a sorted run.  The in-memory operator never
+            spills and sorts its whole input as one run, so it ignores
+            this (cutting runs there never bounded memory).
         string_prefix: forced VARCHAR prefix length in normalized keys
             (default: chosen from the data, capped at 12 like DuckDB).
         lsd_threshold: key byte width at or below which LSD radix is used.
@@ -219,7 +224,8 @@ class SortConfig:
         exact_varchar: repair truncated VARCHAR prefixes on the vector
             path (:mod:`repro.sort.stringsort`): byte-equal tie groups are
             re-encoded at progressively wider string offsets until the
-            order is exact, in run generation and after every merge.  On
+            order is exact, once per in-memory sort and per external run
+            or settled merge batch.  On
             by default -- string sorts are exact without the per-row
             scalar comparator.  Turning it off is the documented escape
             hatch for approximate prefix-only ordering and *requires* a
@@ -266,8 +272,9 @@ class SortConfig:
         memory_grant: per-operator memory grant from a global governor
             (any object with ``effective_run_threshold(base_rows)`` and
             ``record_spill(nbytes)``, see
-            :class:`repro.service.governor.MemoryGrant`).  The operator
-            treats ``min(run_threshold, grant.effective_run_threshold(
+            :class:`repro.service.governor.MemoryGrant`).  Like
+            ``run_threshold`` it sizes external runs only; the in-memory
+            operator ignores it.  The external operator treats ``min(run_threshold, grant.effective_run_threshold(
             run_threshold))`` as its live run threshold, re-read at
             every sink -- so a governor shrinking the grant under
             memory pressure forces runs (and the prefetch budget
@@ -343,6 +350,13 @@ class SortConfig:
 @dataclass
 class SortStats:
     """What the operator did: run counts, algorithm, merge work.
+
+    The in-memory :class:`SortOperator` sorts its input as one run, so it
+    reports ``runs_generated == 1`` (0 for empty input) and
+    ``merge_rounds == 0``; its ``phase_seconds`` hold ``encode`` and
+    ``run_gen`` (the sort, string repair and payload gather).  The run,
+    merge, spill, prefetch and k-way counters below describe the external
+    operator.
 
     ``kernel_kway_merges`` / ``scalar_kway_merges`` count external k-way
     merge phases by path (block-streaming kernel vs. per-row tournament
@@ -432,9 +446,6 @@ class SortStats:
     runs_generated: int = 0
     algorithm: str = ""
     merge_rounds: int = 0
-    merge_comparisons: int = 0
-    kernel_merges: int = 0
-    scalar_merges: int = 0
     kernel_kway_merges: int = 0
     scalar_kway_merges: int = 0
     kway_rounds: int = 0
@@ -500,33 +511,8 @@ class SortStats:
             self.add_phase_seconds(phase, time.perf_counter() - start)
 
 
-@dataclass
-class SortedRun:
-    """One fully sorted run: sorted keys plus the payload in key order.
-
-    ``raw`` optionally caches the key rows as Python ``bytes`` for the
-    scalar merge fallback; carrying it across cascade rounds avoids
-    re-materializing both runs on every round.
-    """
-
-    keys: np.ndarray  # (n, width) uint8, sorted
-    payload: RowBlock  # rows already in key order
-    key_width: int  # bytes of key before the row-id suffix
-    raw: list[bytes] | None = None  # per-row key bytes (scalar merge cache)
-    layout: object | None = None  # KeyLayout the keys were encoded under
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def raw_keys(self) -> list[bytes]:
-        """The key rows as ``bytes``, materializing and caching on demand."""
-        if self.raw is None:
-            self.raw = [self.keys[i].tobytes() for i in range(len(self.keys))]
-        return self.raw
-
-
 class SortOperator:
-    """Materializing ORDER BY operator (paper Figure 11).
+    """Materializing ORDER BY operator (paper Figure 11, one core).
 
     Use as::
 
@@ -548,11 +534,7 @@ class SortOperator:
         for name in spec.column_names:
             schema.column(name)  # raises SchemaError on unknown columns
         self._buffer: list[DataChunk] = []
-        self._buffered_rows = 0
-        self._runs: list[SortedRun] = []
-        self._next_row_id = 0
         self._finalized = False
-        self._key_layout = None
         self._parallel: ParallelSortExecutor | None = None
         self.stats = SortStats()
         self._has_string_key = any(
@@ -564,7 +546,6 @@ class SortOperator:
         self._compress = (
             self.config.compress_keys and self.config.string_prefix is None
         )
-        self._key_acc: KeyStatsAccumulator | None = None
 
     # ------------------------------------------------------------------ #
     # Parallel execution
@@ -574,11 +555,9 @@ class SortOperator:
         """The lazily-created multi-core executor, or ``None`` if serial.
 
         The parallel path requires the vector kernels (the executor runs
-        them in its workers).  It sorts and merges key *bytes*; truncated
-        string prefixes are handled by running the same post-pass tie
-        repair (:mod:`repro.sort.stringsort`) on its output that the
-        serial vector path uses, so inexact prefixes no longer force
-        serial execution.
+        them in its workers).  It sorts key *bytes*; truncated string
+        prefixes are repaired afterwards by the same tie refinement
+        (:mod:`repro.sort.stringsort`) the serial vector path uses.
         """
         if self.config.num_workers <= 1 or not self.config.use_vector_kernels:
             return None
@@ -612,15 +591,9 @@ class SortOperator:
         if len(chunk) == 0:
             return
         self._buffer.append(chunk)
-        self._buffered_rows += len(chunk)
-        threshold = effective_run_threshold(self.config)
-        if self._buffered_rows >= threshold:
-            if threshold < self.config.run_threshold:
-                self.stats.governor_forced_spills += 1
-            self._generate_run()
 
     # ------------------------------------------------------------------ #
-    # Run generation
+    # Sort
     # ------------------------------------------------------------------ #
 
     def _choose_algorithm(self, keys: NormalizedKeys) -> str:
@@ -650,168 +623,96 @@ class SortOperator:
         """
         return self.config.use_vector_kernels and self.config.exact_varchar
 
-    def _generate_run(self) -> None:
-        if not self._buffer:
-            return
-        raise_if_cancelled(self.config)
-        table = self._buffer[0].to_table()
-        for chunk in self._buffer[1:]:
-            table = table.concat(chunk.to_table())
-        self._buffer.clear()
-        self._buffered_rows = 0
-
-        # All runs must share one key layout so the merge can memcmp
-        # across them; with VARCHAR keys and no explicit prefix we lock
-        # the prefix to DuckDB's 12-byte cap rather than letting each
-        # run pick its own width from its data.
+    def _encode(self, table: Table) -> NormalizedKeys:
+        """Normalized keys of the whole input, in one pass."""
+        # Uncompressed keys keep DuckDB's full 12-byte string prefix (the
+        # legacy layout ``compress_keys=False`` preserves).
         string_prefix = self.config.string_prefix
         if string_prefix is None and self._has_string_key:
             string_prefix = MAX_STRING_PREFIX
-        with self.stats.time_phase("encode"):
-            layout = None
-            if self._compress:
-                # Stats-driven key compression: the accumulator is
-                # monotone, so this run's layout covers all earlier runs'
-                # data too -- earlier runs are re-based at finalize if
-                # this layout is wider than theirs.
-                if self._key_acc is None:
-                    self._key_acc = KeyStatsAccumulator(self.schema, self.spec)
-                self._key_acc.update(table)
-                layout = self._key_acc.build_layout(
-                    include_row_id=True, row_id_width=8
-                )
-            keys = normalize_keys(
-                table,
-                self.spec,
-                string_prefix=string_prefix,
-                include_row_id=True,
-                row_id_base=self._next_row_id,
-                row_id_width=8,
-                layout=layout,
-            )
-        self._key_layout = keys.layout
-        self.stats.key_width_used = keys.layout.key_width
-        self.stats.key_width_full = plain_key_width(keys.layout)
-        self._next_row_id += len(table)
-        self.stats.prefix_exact = self.stats.prefix_exact and keys.prefix_exact
-
-        algorithm = self._choose_algorithm(keys)
-        if (
-            algorithm == "radix"
-            and not keys.prefix_exact
-            and not self._vector_exact_strings()
-        ):
-            # Radix cannot tie-break truncated string prefixes, and
-            # without the vector-path tie repair the only exact option is
-            # pdqsort with full-string comparisons.
-            algorithm = "pdqsort"
-        self.stats.algorithm = algorithm
-        with self.stats.time_phase("run_gen"):
-            order = None
-            # With exact prefixes the key bytes decide everything; with
-            # inexact prefixes the vector path sorts the prefix bytes and
-            # repairs the byte-equal tie groups afterwards, so the
-            # parallel executor and radix requalify for string keys.
-            vector_ok = keys.prefix_exact or self._vector_exact_strings()
-            executor = self._parallel_executor()
-            if executor is not None and vector_ok:
-                # Morsel-driven parallel run generation: stable sorts of
-                # the same key bytes, so the permutation -- and the run --
-                # is byte-identical to whichever serial algorithm was
-                # chosen (both radix and the kernel argsort are stable).
-                order = executor.argsort(
-                    keys.matrix, keys.layout.key_width, self.stats
-                )
-                if order is not None:
-                    self.stats.algorithm = "parallel-morsel"
-            if order is not None:
-                pass
-            elif algorithm == "radix":
-                # Radix sort is stable, so only the key bytes need sorting
-                # -- the row-id suffix exists for merge-time tie breaks,
-                # and spending passes on its (unique) bytes would be
-                # wasted work.
-                if self.config.use_vector_kernels:
-                    # Width/row-count/skew heuristic picks the vectorized
-                    # MSD radix kernel or the argsort/lexsort kernel;
-                    # both stable, so the run is byte-identical either way.
-                    order = vector_sort_rows(
-                        keys.matrix[:, : keys.layout.key_width],
-                        keys.layout.key_width,
-                        self.stats,
-                        self.stats.radix,
-                    )
-                else:
-                    order = radix_argsort(
-                        keys.matrix[:, : keys.layout.key_width],
-                        self.stats.radix,
-                        self.config.lsd_threshold,
-                        vector_threshold=None,
-                    )
-            else:
-                order = self._pdq_argsort(table, keys)
-
-            if (
-                not keys.prefix_exact
-                and self._vector_exact_strings()
-                and not refinement_must_defer(keys.layout)
-            ):
-                # Adaptive tie-break re-encoding: only byte-equal groups
-                # of the prefix order are re-sorted on their full strings,
-                # so the run is exact without a per-row comparator.  With
-                # later key bytes after the truncated segment the repair
-                # would break the run's memcmp sortedness, so it is
-                # deferred to the final merged result (finalize).
-                order = self._refine_run_order(table, keys, order)
-            sorted_keys = keys.matrix[order]
-            payload = RowBlock.from_table(table).take(np.asarray(order))
-        self._runs.append(
-            SortedRun(
-                sorted_keys, payload, keys.layout.key_width, layout=keys.layout
-            )
+        layout = None
+        if self._compress:
+            # Stats-driven key compression: one accumulator pass over
+            # the input chooses every segment's width.
+            acc = KeyStatsAccumulator(self.schema, self.spec)
+            acc.update(table)
+            layout = acc.build_layout(include_row_id=True, row_id_width=8)
+        return normalize_keys(
+            table,
+            self.spec,
+            string_prefix=string_prefix,
+            include_row_id=True,
+            row_id_width=8,
+            layout=layout,
         )
-        self.stats.runs_generated += 1
-        self.stats.rows_sorted += len(table)
 
-    def _pdq_argsort(self, table: Table, keys: NormalizedKeys) -> np.ndarray:
-        """pdqsort on memcmp of key bytes, with full-string tie-breaks.
+    def _argsort(
+        self, table: Table, keys: NormalizedKeys, algorithm: str
+    ) -> np.ndarray:
+        """The sorting permutation of the key bytes.
 
-        When every string fit its prefix the key bytes (which end in the
-        unique row id) order rows exactly.  On the vector path, inexact
-        prefixes are sorted by their bytes here and the byte-equal tie
-        groups repaired afterwards by :meth:`_refine_run_order`.  Only the
-        ``use_vector_kernels=False`` oracle walks the key *segments*
-        per row: a VARCHAR segment whose truncated prefixes tie is
-        resolved on the full strings before any later key column is
-        consulted -- DuckDB's "compare the rest of the string only if the
-        prefixes are equal".
+        Every vector kernel is a stable sort of the key bytes without the
+        row-id suffix: the suffix ascends with row index, so stability
+        reproduces full-row memcmp order.  With inexact prefixes the
+        result is the prefix order; :meth:`_refine_order` repairs it.
         """
-        n = len(keys)
-        matrix = keys.matrix
+        key_width = keys.layout.key_width
+        executor = self._parallel_executor()
+        if executor is not None:
+            # Morsel-driven parallel sort of the same key bytes; stable,
+            # so byte-identical to the serial kernels.
+            order = executor.argsort(keys.matrix, key_width, self.stats)
+            if order is not None:
+                self.stats.algorithm = "parallel-morsel"
+                return order
         if self.config.use_vector_kernels:
-            # Vectorized stable sort of the key bytes (heuristic
-            # radix/lexsort dispatch).  The row-id suffix ascends with
-            # row index, so a stable sort without it is byte-identical
-            # to memcmp over the full row.
+            # Width/row-count/skew heuristic picks the vectorized MSD
+            # radix kernel or the argsort/lexsort kernel.
             return vector_sort_rows(
-                matrix[:, : keys.layout.key_width],
-                keys.layout.key_width,
+                keys.matrix[:, :key_width],
+                key_width,
                 self.stats,
                 self.stats.radix,
             )
+        if algorithm == "radix":
+            return radix_argsort(
+                keys.matrix[:, :key_width],
+                self.stats.radix,
+                self.config.lsd_threshold,
+                vector_threshold=None,
+            )
+        return self._pdq_argsort(table, keys)
+
+    def _pdq_argsort(self, table: Table, keys: NormalizedKeys) -> np.ndarray:
+        """Scalar pdqsort on memcmp of key bytes, with full-string ties.
+
+        The ``use_vector_kernels=False`` reference.  When every string fit
+        its prefix the key bytes (which end in the unique row id) order
+        rows exactly.  Otherwise the key *segments* are walked per row: a
+        VARCHAR segment whose truncated prefixes tie is resolved on the
+        full strings before any later key column is consulted -- DuckDB's
+        "compare the rest of the string only if the prefixes are equal".
+        """
         if keys.prefix_exact or not self.config.exact_varchar:
-            raw = [matrix[i].tobytes() for i in range(n)]
-            order = list(range(n))
+            matrix = keys.matrix
+            raw = [matrix[i].tobytes() for i in range(len(keys))]
+            order = list(range(len(keys)))
             pdqsort(order, lambda i, j: raw[i] < raw[j])
             return np.asarray(order, dtype=np.int64)
         return _segmented_argsort(table, keys, self.spec)
 
-    def _refine_run_order(
-        self, table: Table, keys: NormalizedKeys, order
+    def _refine_order(
+        self, table: Table, keys: NormalizedKeys, order: np.ndarray
     ) -> np.ndarray:
-        """Repair a prefix-only permutation to exact full-string order."""
+        """Repair a prefix-only permutation to exact full-string order.
+
+        Adaptive tie-break re-encoding: only byte-equal groups of the
+        prefix order are re-sorted on their full strings.  The groups
+        arrive ordered by any later key bytes and the row id, which the
+        stable re-sort keeps for equal full strings.
+        """
         order = np.asarray(order, dtype=np.int64)
-        matrix = keys.matrix[order][:, : keys.layout.key_width]
+        matrix = keys.matrix[:, : keys.layout.key_width][order]
 
         def fetch_tied(tied: np.ndarray):
             source = order[tied]
@@ -828,225 +729,47 @@ class SortOperator:
         return order[perm]
 
     # ------------------------------------------------------------------ #
-    # Merge
-    # ------------------------------------------------------------------ #
-
-    def _merge_two(self, left: SortedRun, right: SortedRun) -> SortedRun:
-        """Cascaded-merge step: physically merge two sorted runs.
-
-        Keys are compared with memcmp over the full key row.  Row ids are
-        globally unique and assigned in arrival order, so the suffix makes
-        the merge stable.  On the vector path the merge is one vectorized
-        searchsorted/lexsort kernel; truncated string prefixes are
-        repaired afterwards by re-sorting the byte-equal tie groups on the
-        full strings.  Only the scalar oracle re-resolves segment ties per
-        row with values fetched from the payload.
-        """
-        key_width = left.key_width
-        exact = self.stats.prefix_exact or not self.config.exact_varchar
-        if self.config.use_vector_kernels:
-            return self._merge_two_kernel(left, right)
-        self.stats.scalar_merges += 1
-        a = left.raw_keys()
-        b = right.raw_keys()
-        key_names = self.spec.column_names
-
-        def b_before_a(i: int, j: int) -> bool:
-            if exact:
-                return b[j] < a[i]
-            cmp = _segmented_compare(
-                b[j],
-                a[i],
-                self._key_layout,
-                self.spec,
-                lambda col: right.payload.value(j, key_names[col]),
-                lambda col: left.payload.value(i, key_names[col]),
-            )
-            if cmp != 0:
-                return cmp < 0
-            return b[j][key_width:] < a[i][key_width:]
-
-        n, m = len(a), len(b)
-        take_from_left = np.empty(n + m, dtype=bool)
-        source_index = np.empty(n + m, dtype=np.int64)
-        merged_raw: list[bytes] = [b""] * (n + m)
-        i = j = 0
-        comparisons = 0
-        for k in range(n + m):
-            if i < n and (j >= m or not b_before_a(i, j)):
-                if j < m:
-                    comparisons += 1
-                take_from_left[k] = True
-                source_index[k] = i
-                merged_raw[k] = a[i]
-                i += 1
-            else:
-                if i < n:
-                    comparisons += 1
-                take_from_left[k] = False
-                source_index[k] = j
-                merged_raw[k] = b[j]
-                j += 1
-        self.stats.merge_comparisons += comparisons
-
-        merged_keys = np.empty(
-            (n + m, left.keys.shape[1]), dtype=np.uint8
-        )
-        merged_keys[take_from_left] = left.keys[source_index[take_from_left]]
-        merged_keys[~take_from_left] = right.keys[source_index[~take_from_left]]
-
-        combined = left.payload.concat(right.payload)
-        gather = np.where(
-            take_from_left, source_index, source_index + n
-        )
-        payload = combined.take(gather)
-        return SortedRun(merged_keys, payload, key_width, raw=merged_raw)
-
-    def _merge_two_kernel(self, left: SortedRun, right: SortedRun) -> SortedRun:
-        """Vectorized merge: one searchsorted kernel, no per-row Python.
-
-        The merge compares only the key bytes: row ids ascend with run
-        order (earlier run => smaller ids), so the kernel's stable
-        left-first tie handling reproduces the full-row memcmp order
-        without touching the suffix.  With truncated string prefixes the
-        byte-equal tie groups of the merged result are re-sorted on the
-        full strings afterwards -- both inputs are already exact, but two
-        runs can tie on the whole prefix while their full strings
-        interleave, so the repair must happen per merge, not just per run.
-        """
-        key_width = left.key_width
-        perm = None
-        executor = self._parallel_executor()
-        if executor is not None:
-            # Merge-Path-partitioned parallel merge; ties resolve to the
-            # left (earlier, lower-row-id) run exactly like the kernel.
-            perm = executor.merge_two(
-                left.keys, right.keys, key_width, self.stats
-            )
-        if perm is None:
-            perm = merge_indices(
-                left.keys[:, :key_width],
-                right.keys[:, :key_width],
-                stats=self.stats,
-                use_ovc=self.config.use_ovc,
-            )
-        merged_keys = np.concatenate([left.keys, right.keys])[perm]
-        payload = left.payload.concat(right.payload).take(perm)
-        if (
-            not self.stats.prefix_exact
-            and self.config.exact_varchar
-            and not self._defer_refinement()
-        ):
-            merged_keys, payload = self._refine_merged(
-                merged_keys, payload, key_width
-            )
-        self.stats.kernel_merges += 1
-        return SortedRun(
-            merged_keys, payload, key_width, layout=self._key_layout
-        )
-
-    def _defer_refinement(self) -> bool:
-        """Exact-string repair must wait for the final merged result.
-
-        True when key bytes follow the first truncated VARCHAR segment
-        (see :func:`repro.sort.stringsort.refinement_must_defer`):
-        refining per run or per merge would hand the merge kernels runs
-        that are no longer byte-sorted.
-        """
-        return self._key_layout is not None and refinement_must_defer(
-            self._key_layout
-        )
-
-    def _refine_merged(
-        self, merged_keys: np.ndarray, payload: RowBlock, key_width: int
-    ) -> tuple[np.ndarray, RowBlock]:
-        """Re-sort a merged run's byte-equal tie groups on full strings."""
-
-        def fetch_tied(tied: np.ndarray):
-            tied_table = payload.take(tied).to_table()
-
-            def get(name: str):
-                column = tied_table.column(name)
-                return column.data, column.validity
-
-            return get
-
-        perm = refine_key_order(
-            merged_keys[:, :key_width], self._key_layout, fetch_tied, self.stats
-        )
-        if perm is None:
-            return merged_keys, payload
-        return merged_keys[perm], payload.take(perm)
-
-    # ------------------------------------------------------------------ #
     # Finalize
     # ------------------------------------------------------------------ #
 
     def finalize(self) -> Table:
-        """Sort any remaining buffer, merge all runs, return the table."""
+        """Sort everything sunk and return it as one table."""
         if self._finalized:
             raise SortError("sort already finalized")
         self._finalized = True
         try:
-            if self._buffer:
-                self._generate_run()
-            if not self._runs:
+            if not self._buffer:
                 return Table.empty(self.schema)
-            runs = self._runs
-            if self._compress and len(runs) > 1:
-                # Later runs may have widened the compressed layout; the
-                # last run's layout covers every run (the statistics
-                # accumulator is monotone), so re-base narrower runs onto
-                # it and the merge memcmps one shared layout.
-                final_layout = runs[-1].layout
-                for run in runs:
-                    if run.layout is None or run.layout == final_layout:
-                        continue
-                    with self.stats.time_phase("encode"):
-                        run.keys = rebase_matrix(
-                            run.keys, run.layout, final_layout
-                        )
-                    run.layout = final_layout
-                    run.key_width = final_layout.key_width
-                    run.raw = None
-                    self.stats.key_layout_rebases += 1
-                self._key_layout = final_layout
-                self.stats.key_width_used = final_layout.key_width
-            with self.stats.time_phase("merge"):
-                while len(runs) > 1:
-                    raise_if_cancelled(self.config)
-                    self.stats.merge_rounds += 1
-                    merged = []
-                    for i in range(0, len(runs) - 1, 2):
-                        merged.append(self._merge_two(runs[i], runs[i + 1]))
-                    if len(runs) % 2 == 1:
-                        merged.append(runs[-1])
-                    runs = merged
+            raise_if_cancelled(self.config)
+            first, *rest = [chunk.to_table() for chunk in self._buffer]
+            table = first.concat(*rest)
+            self._buffer.clear()
+
+            with self.stats.time_phase("encode"):
+                keys = self._encode(table)
+            self.stats.key_width_used = keys.layout.key_width
+            self.stats.key_width_full = plain_key_width(keys.layout)
+            self.stats.prefix_exact = keys.prefix_exact
+
+            algorithm = self._choose_algorithm(keys)
             if (
-                not self.stats.prefix_exact
-                and self._vector_exact_strings()
-                and self._defer_refinement()
+                algorithm == "radix"
+                and not keys.prefix_exact
+                and not self._vector_exact_strings()
             ):
-                # Deferred exact-string repair: runs and merges stayed in
-                # raw byte order (later key bytes follow the truncated
-                # VARCHAR segment), so one refinement of the final result
-                # produces the exact order -- tie groups arrive sorted by
-                # the remaining key bytes and row id, which the stable
-                # re-sort preserves for equal full strings.
-                final = runs[0]
-                merged_keys, payload = self._refine_merged(
-                    final.keys, final.payload, final.key_width
-                )
-                runs = [
-                    SortedRun(
-                        merged_keys,
-                        payload,
-                        final.key_width,
-                        layout=final.layout,
-                    )
-                ]
-            self._runs = runs
-            return runs[0].payload.to_table()
+                # Radix cannot tie-break truncated string prefixes, and
+                # without the vector-path tie repair the only exact
+                # option is pdqsort with full-string comparisons.
+                algorithm = "pdqsort"
+            self.stats.algorithm = algorithm
+            with self.stats.time_phase("run_gen"):
+                order = self._argsort(table, keys, algorithm)
+                if not keys.prefix_exact and self._vector_exact_strings():
+                    order = self._refine_order(table, keys, order)
+                result = table.take(order)
+            self.stats.runs_generated = 1
+            self.stats.rows_sorted = len(table)
+            return result
         finally:
             self._close_parallel()
 

@@ -75,7 +75,5 @@ def concat_chunks(chunks: list[DataChunk]) -> Table:
     """Reassemble chunks into one table (inverse of :func:`chunk_table`)."""
     if not chunks:
         raise SchemaError("cannot concat zero chunks")
-    table = chunks[0].to_table()
-    for chunk in chunks[1:]:
-        table = table.concat(chunk.to_table())
-    return table
+    first, *rest = [chunk.to_table() for chunk in chunks]
+    return first.concat(*rest)

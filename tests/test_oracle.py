@@ -23,7 +23,7 @@ import pytest
 
 from test_external_kway import assert_byte_identical
 from repro.sort.external import external_sort_table
-from repro.sort.operator import SortConfig, sort_table
+from repro.sort.operator import SortConfig, SortOperator, sort_table
 from repro.sort.parallel_exec import parallel_platform_supported
 from repro.sort.topn import TopNOperator
 from repro.table.chunk import chunk_table
@@ -134,6 +134,38 @@ def test_in_memory_matches_oracle(spec_text, size):
             SortConfig(run_threshold=500, use_vector_kernels=use_kernels),
         )
         assert_byte_identical(expected, result)
+
+
+@pytest.mark.parametrize("run_threshold", [1, 97, 1000, 1 << 17])
+def test_in_memory_sorts_one_run_at_any_threshold(run_threshold):
+    """The in-memory operator sorts one run; the threshold sizes spills.
+
+    Strings past the 12-byte key prefix with a later key column (``s,
+    i``) leave key bytes after the truncated segment, so the one string
+    repair must run on the whole sorted input.
+    """
+    rng = np.random.default_rng(run_threshold)
+    n = 1200
+    table = Table.from_pydict(
+        {
+            "s": [
+                None if rng.random() < 0.1 else f"shared_prefix_tail_{v}"
+                for v in rng.integers(0, 30, n)
+            ],
+            "i": [int(v) for v in rng.integers(0, 4, n)],
+        }
+    )
+    spec = SortSpec.of("s", "i")
+    operator = SortOperator(
+        table.schema, spec, SortConfig(run_threshold=run_threshold)
+    )
+    for chunk in chunk_table(table, 128):
+        operator.sink(chunk)
+    result = operator.finalize()
+    assert not operator.stats.prefix_exact
+    assert operator.stats.runs_generated == 1
+    assert operator.stats.merge_rounds == 0
+    assert_byte_identical(oracle_sort(table, spec), result)
 
 
 @pytest.mark.parametrize("spec_text", ["i", "f DESC, s", "s NULLS FIRST, f"])

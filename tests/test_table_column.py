@@ -109,6 +109,14 @@ class TestTransformations:
                 ColumnVector.from_values(["a"])
             )
 
+    def test_concat_many(self):
+        a = ColumnVector.from_values([1, None])
+        b = ColumnVector.from_values([3])
+        c = ColumnVector.from_values([None, 5])
+        assert a.concat(b, c).to_pylist() == [1, None, 3, None, 5]
+        with pytest.raises(TypeError_):
+            a.concat(b, ColumnVector.from_values(["a"]))
+
     def test_equals_ignores_filler_under_nulls(self):
         a = ColumnVector(
             INTEGER,

@@ -93,6 +93,17 @@ class TestTransformations:
         with pytest.raises(SchemaError):
             small_table.concat(other)
 
+    def test_concat_many(self, small_table):
+        tripled = small_table.concat(small_table.slice(0, 2), small_table)
+        assert tripled.num_rows == 12
+        assert tripled.row(5) == small_table.row(0)
+        assert tripled.row(7) == small_table.row(0)
+        assert small_table.concat() is small_table
+
+    def test_concat_many_checks_every_schema(self, small_table):
+        with pytest.raises(SchemaError):
+            small_table.concat(small_table, Table.from_pydict({"x": [1]}))
+
     def test_equals_self(self, small_table):
         assert small_table.equals(small_table)
 
