@@ -1,7 +1,7 @@
-"""Overlapped prefetch + replacement selection; writes BENCH_external.json.
+"""Overlapped prefetch in the external merge; writes BENCH_external.json.
 
-Two experiments over the external sort, both asserting byte identity
-between every timed configuration:
+One experiment over the external sort, asserting byte identity between
+every timed configuration:
 
 * **overlap** -- a multi-run external sort of uniform int64 rows, merge
   read-ahead off (``prefetch_blocks=0``, every spill read on the merge's
@@ -14,14 +14,6 @@ between every timed configuration:
   the slow-storage profile.  Per-phase wall-clock (``io_wait``,
   ``spill_io`` vs overlapped ``spill_io_overlap``) and hit rates are
   recorded alongside.
-
-* **rungen** -- a near-sorted workload (see :mod:`scenarios`) sorted
-  with plain argsort run generation vs replacement selection, both
-  under ``merge_fan_in=4`` so run count shows up as merge passes.
-  Replacement selection's longer runs (bounded only by the 4x run cap)
-  mean fewer runs, fewer merge passes, and fewer k-way rounds; the
-  JSON records run counts, run-length lists, pass/round counts, and
-  the pass ratio.
 
 Results land in ``BENCH_external.json`` at the repository root.  Runs
 standalone (``python benchmarks/bench_external_overlap.py [--rows N]``)
@@ -50,14 +42,13 @@ from repro.table.chunk import chunk_table  # noqa: E402
 from repro.table.table import Table  # noqa: E402
 from repro.types.sortspec import SortSpec  # noqa: E402
 
-from scenarios import near_sorted_values, uniform_values  # noqa: E402
+from scenarios import uniform_values  # noqa: E402
 
 OUTPUT = os.path.join(os.path.dirname(_SRC), "BENCH_external.json")
 
 DEFAULT_ROWS = 1_000_000
 CHUNK_ROWS = 16_384
 PREFETCH_DEPTH = 2
-MERGE_FAN_IN = 4
 READ_DELAY_S = 0.002  # SlowStorageIO per-read latency (cold spill store)
 ROUNDS = 2  # best-of for every timed side
 
@@ -168,64 +159,10 @@ def bench_overlap(rows: int) -> dict:
     return result
 
 
-def bench_rungen(rows: int) -> dict:
-    rng = np.random.default_rng(43)
-    table = Table.from_numpy(
-        {
-            "a": near_sorted_values(rng, rows),
-            "p": rng.integers(0, 1 << 62, rows).astype(np.int64),
-        }
-    )
-    spec = SortSpec.of("a")
-    run_rows = _run_rows(rows)
-    result = {"rows": rows, "rows_per_run": run_rows, "sides": {}}
-    reference = None
-    for side, selection in (("argsort", False), ("replacement", True)):
-        config = SortConfig(
-            run_threshold=run_rows,
-            replacement_selection=selection,
-            merge_fan_in=MERGE_FAN_IN,
-        )
-        elapsed, output, stats = _best_of(
-            lambda: _external_sort(table, spec, config)
-        )
-        if reference is None:
-            reference = output
-        assert _tables_equal(output, reference), (
-            f"output diverged: rungen={side}"
-        )
-        result["sides"][side] = {
-            "seconds": elapsed,
-            "rows_per_s": rows / elapsed,
-            "rungen_path": stats.rungen_path,
-            "run_lengths": stats.run_lengths,
-            **_stat_summary(stats),
-        }
-    argsort, replacement = result["sides"]["argsort"], result["sides"]["replacement"]
-    result["run_reduction"] = argsort["runs"] / replacement["runs"]
-    result["merge_pass_reduction"] = (
-        argsort["merge_passes"] / replacement["merge_passes"]
-    )
-    result["kway_round_reduction"] = (
-        argsort["kway_rounds"] / max(1, replacement["kway_rounds"])
-    )
-    # The probe is part of the contract: auto dispatch must pick
-    # replacement selection on this workload without being forced.
-    probe_config = SortConfig(run_threshold=run_rows)
-    _, probe_out, probe_stats = _external_sort(table, spec, probe_config)
-    assert _tables_equal(probe_out, reference), "auto-dispatch diverged"
-    result["auto"] = {
-        "rungen_path": probe_stats.rungen_path,
-        "probe": probe_stats.rungen_probe,
-    }
-    return result
-
-
 def main(rows: int = DEFAULT_ROWS) -> dict:
     results = {
         "cpu_count": os.cpu_count(),
         "overlap_int64": bench_overlap(rows),
-        "rungen_near_sorted": bench_rungen(rows),
     }
     with open(OUTPUT, "w") as fh:
         json.dump(results, fh, indent=2)
@@ -238,17 +175,6 @@ def main(rows: int = DEFAULT_ROWS) -> dict:
             f"({sides['speedup']:.2f}x, hit_rate "
             f"{sides['on']['prefetch_hit_rate']:.2f})"
         )
-    rungen = results["rungen_near_sorted"]
-    print(
-        "rungen[near_sorted]: "
-        f"argsort {rungen['sides']['argsort']['runs']} runs / "
-        f"{rungen['sides']['argsort']['merge_passes']} passes, "
-        f"replacement {rungen['sides']['replacement']['runs']} runs / "
-        f"{rungen['sides']['replacement']['merge_passes']} passes "
-        f"({rungen['merge_pass_reduction']:.2f}x fewer passes, "
-        f"auto probe {rungen['auto']['probe']:.3f} -> "
-        f"{rungen['auto']['rungen_path']})"
-    )
     print(f"wrote {OUTPUT} (cpu_count={results['cpu_count']})")
     return results
 
@@ -263,10 +189,6 @@ def test_external_overlap_bench_smoke(capsys):
     # latency sleeps without the GIL).
     assert overlap["profiles"]["slow_storage"]["speedup"] >= 1.2
     assert overlap["profiles"]["slow_storage"]["on"]["prefetch_hits"] > 0
-    rungen = results["rungen_near_sorted"]
-    assert rungen["run_reduction"] >= 1.5
-    assert rungen["merge_pass_reduction"] >= 1.5
-    assert rungen["auto"]["rungen_path"] == "replacement_selection"
     assert os.path.exists(OUTPUT)
 
 

@@ -10,9 +10,9 @@ cell per (scenario, path):
   single scheduler hiccup does not poison the recorded artifact);
 * the heuristic dispatch decisions that run actually made
   (``vector_sort_paths`` / ``vector_sort_reasons`` per generated run,
-  the external ``rungen_path`` + presortedness probe, the chosen
-  algorithm) -- these are **deterministic** for a given (rows, seed),
-  which is what lets ``benchmarks/regress.py`` gate on them;
+  the external ``rungen_path``, the chosen algorithm) -- these are
+  **deterministic** for a given (rows, seed), which is what lets
+  ``benchmarks/regress.py`` gate on them;
 * the run-length histogram summary, merge passes, k-way rounds, and the
   degradation/spill counters.
 
@@ -62,9 +62,9 @@ from repro.workloads.scenarios import SCENARIOS  # noqa: E402
 OUTPUT = os.path.join(os.path.dirname(_SRC), "BENCH_matrix.json")
 
 # The committed baseline and the CI gate run at exactly this scale and
-# seed: dispatch decisions (radix vs lexsort, replacement selection vs
-# argsort) depend on row count, so regress.py refuses to compare runs
-# recorded at different scales.
+# seed: dispatch decisions (radix vs lexsort vs single-word argsort)
+# depend on row count, so regress.py refuses to compare runs recorded
+# at different scales.
 DEFAULT_ROWS = 24_000
 SEED = 17
 REPS = 2
@@ -128,7 +128,6 @@ def _dispatch_summary(stats) -> dict:
         "vector_sort_paths": dict(stats.vector_sort_paths),
         "vector_sort_reasons": dict(stats.vector_sort_reasons),
         "rungen_path": stats.rungen_path,
-        "rungen_probe": stats.rungen_probe,
         "runs_generated": stats.runs_generated,
         "run_lengths": _run_lengths_summary(stats.run_lengths),
         "merge_passes": stats.merge_passes,

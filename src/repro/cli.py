@@ -163,17 +163,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sort_cmd.add_argument(
-        "--replacement-selection",
-        choices=["auto", "on", "off"],
-        default="auto",
-        help=(
-            "run generation for --external: 'on' forces replacement "
-            "selection (longer runs on near-sorted input), 'off' forces "
-            "plain argsort runs, 'auto' probes the first spill's "
-            "presortedness (default)"
-        ),
-    )
-    sort_cmd.add_argument(
         "--merge-fan-in",
         type=int,
         default=None,
@@ -344,8 +333,6 @@ def _cmd_sort(args: argparse.Namespace) -> int:
         kwargs["num_workers"] = args.workers
     if args.prefetch_blocks is not None:
         kwargs["prefetch_blocks"] = args.prefetch_blocks
-    if args.replacement_selection != "auto":
-        kwargs["replacement_selection"] = args.replacement_selection == "on"
     if args.merge_fan_in is not None:
         kwargs["merge_fan_in"] = args.merge_fan_in
     config = SortConfig(
@@ -408,12 +395,7 @@ def _print_sort_stats(stats) -> None:
     print(f"rows_sorted: {stats.rows_sorted}", file=err)
     print(f"runs_generated: {stats.runs_generated}", file=err)
     if stats.rungen_path:
-        probe = (
-            f" probe={stats.rungen_probe:.3f}"
-            if stats.rungen_probe >= 0
-            else ""
-        )
-        print(f"rungen: path={stats.rungen_path}{probe}", file=err)
+        print(f"rungen: path={stats.rungen_path}", file=err)
     if stats.run_lengths:
         print(
             f"run_lengths: {_run_length_histogram(stats.run_lengths)}",

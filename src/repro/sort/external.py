@@ -123,13 +123,6 @@ from repro.sort.parallel_exec import ParallelSortExecutor
 from repro.sort.pdqsort import pdqsort
 from repro.sort.prefetch import BlockPrefetcher, prefetch_budget_blocks
 from repro.sort.radix import radix_argsort
-from repro.sort.rungen import (
-    PROBE_THRESHOLD,
-    RUN_CAP_FACTOR,
-    ReplacementSelection,
-    SelectionRun,
-    presortedness,
-)
 from repro.sort.spillfile import (
     EXTRA_TAG_LAYOUT,
     EXTRA_TAG_OVC,
@@ -559,11 +552,6 @@ class ExternalSortOperator:
         )
         self._next_row_id = 0
         self._parallel: ParallelSortExecutor | None = None
-        # Replacement selection: decided once, on the first spill, by the
-        # presortedness probe (or forced by config); the selection object
-        # holds the working set of sorted segments between spills.
-        self._rs_active: bool | None = None
-        self._selection: ReplacementSelection | None = None
         self._run_seq = 0  # spill filename counter (never reused)
         # Collision-proof spill names: concurrent sorts sharing a spill
         # directory (a service pool, user-provided failover targets)
@@ -620,7 +608,6 @@ class ExternalSortOperator:
         if self._parallel is not None:
             self._parallel.close()
             self._parallel = None
-        self._selection = None
         self._buffer.clear()
         self._buffered_rows = 0
         for run in self._runs:
@@ -792,11 +779,7 @@ class ExternalSortOperator:
         self._buffer.clear()
         self._buffered_rows = 0
         keys = self._encode_run(table)
-        if self._rs_active is None:
-            self._rs_active = self._choose_rungen(keys)
-        if self._rs_active:
-            self._rs_feed(table, keys)
-            return
+        self.stats.rungen_path = "argsort"
         exact_strings = not keys.prefix_exact and self.config.exact_varchar
         with self.stats.time_phase("run_gen"):
             order = self._parallel_argsort(keys)
@@ -864,7 +847,7 @@ class ExternalSortOperator:
         self.stats.rows_sorted += len(table)
 
     def _encode_run(self, table: Table):
-        """Normalize one buffered batch's keys (shared by both rungens)."""
+        """Normalize one buffered batch's keys under the run layout."""
         with self.stats.time_phase("encode"):
             if self._compress:
                 # The accumulator has seen every row so far, so this run's
@@ -906,137 +889,6 @@ class ExternalSortOperator:
             self.stats.prefix_exact and keys.prefix_exact
         )
         return keys
-
-    # ------------------------------------------------------------------ #
-    # Replacement-selection run generation
-    # ------------------------------------------------------------------ #
-
-    def _choose_rungen(self, keys) -> bool:
-        """Pick the run generator for this sort, once, on the first spill.
-
-        Replacement selection needs the vectorized kernels (each fed
-        batch is argsorted) and keys whose byte order *is* the sort
-        order -- a truncated VARCHAR prefix would require exact-string
-        refinement across segment boundaries, so sorts that might
-        need it (string keys under ``exact_varchar``) stay on the
-        argsort path.  Within those gates: ``config.replacement_selection``
-        forces the choice, and ``None`` probes the first buffered
-        batch's presortedness (:func:`repro.sort.rungen.presortedness`)
-        -- replacement selection only pays off when ascending stretches
-        let runs grow past the threshold.
-        """
-        config = self.config
-        eligible = config.use_vector_kernels and not (
-            self._has_string_key and config.exact_varchar
-        )
-        probe = -1.0
-        if not eligible or config.replacement_selection is False:
-            choice = False
-        elif config.replacement_selection:
-            choice = True
-        else:
-            probe = presortedness(
-                keys.matrix[:, : keys.layout.key_width]
-            )
-            choice = probe >= PROBE_THRESHOLD
-        self.stats.rungen_probe = probe
-        self.stats.rungen_path = (
-            "replacement_selection" if choice else "argsort"
-        )
-        return choice
-
-    def _rs_feed(self, table: Table, keys) -> None:
-        """Sort one batch into the selection working set, then drain."""
-        if self._selection is None:
-            self._selection = ReplacementSelection(rebase=rebase_matrix)
-        with self.stats.time_phase("run_gen"):
-            order = self._parallel_argsort(keys)
-            if order is None:
-                order = vector_sort_rows(
-                    keys.matrix[:, : keys.layout.key_width],
-                    keys.layout.key_width,
-                    self.stats,
-                    self.stats.radix,
-                )
-            order = np.asarray(order, dtype=np.int64)
-            self._selection.feed(
-                np.ascontiguousarray(keys.matrix[order]),
-                order,
-                table,
-                keys.layout if self._compress else None,
-            )
-        self.stats.rows_sorted += len(table)
-        self._rs_drain(final=False)
-
-    def _rs_drain(self, final: bool) -> None:
-        """Emit selection batches until occupancy returns to the budget.
-
-        Between spills the working set is drained back to one run
-        threshold of rows (classic replacement selection holds exactly
-        one memory's worth); at finalize it drains to empty.  A run
-        closes when nothing left is >= the fence, or at the
-        :data:`~repro.sort.rungen.RUN_CAP_FACTOR` safety cap -- without
-        the cap a fully sorted stream would accumulate one unbounded
-        in-memory run and defeat the point of spilling.
-        """
-        selection = self._selection
-        cap = RUN_CAP_FACTOR * self._run_threshold
-        target = 0 if final else self._run_threshold
-        while selection.pending_rows > target:
-            self._check_cancelled()
-            with self.stats.time_phase("run_gen"):
-                selection.step()
-            if selection.run_rows and (
-                selection.run_rows >= cap or selection.exhausted
-            ):
-                self._rs_store(selection.close_run())
-        if final and selection.run_rows:
-            self._rs_store(selection.close_run())
-
-    def _rs_store(self, run: SelectionRun) -> None:
-        """Spill one closed selection run (keys ready, payload gathered)."""
-        keys = np.ascontiguousarray(run.keys)
-        if run.layout is not None:
-            key_width = run.layout.key_width
-        else:
-            key_width = keys.shape[1] - ROW_ID_WIDTH
-        ovc = ovc_codes(keys[:, :key_width])
-        if self._key_carried:
-            rows = np.empty((len(keys), 0), dtype=np.uint8)
-            heap = b""
-            self.stats.key_carried_runs += 1
-        else:
-            with self.stats.time_phase("run_gen"):
-                block = RowBlock.from_table(self._rs_gather_payload(run))
-                rows = np.ascontiguousarray(block.rows)
-                heap = block.heap
-        self._store_run(keys, rows, heap, run.layout, ovc)
-        self.stats.runs_generated += 1
-        self.stats.run_lengths.append(len(keys))
-
-    def _rs_gather_payload(self, run: SelectionRun) -> Table:
-        """The run's payload rows in emission order, one gather per table.
-
-        Within each source table the emitted positions ascend (a sorted
-        segment is consumed front to back), so one ``take`` per table
-        plus one interleaving gather reconstructs emission order.
-        """
-        unique = np.unique(run.table_ids)
-        if len(unique) == 1:
-            return run.tables[int(unique[0])].take(run.positions)
-        parts: list[Table] = []
-        gather = np.empty(len(run.table_ids), dtype=np.int64)
-        base = 0
-        for table_id in unique:
-            selected = np.flatnonzero(run.table_ids == table_id)
-            parts.append(
-                run.tables[int(table_id)].take(run.positions[selected])
-            )
-            gather[selected] = base + np.arange(
-                len(selected), dtype=np.int64
-            )
-            base += len(selected)
-        return parts[0].concat(*parts[1:]).take(gather)
 
     def _refine_run_order(self, table, keys, order) -> np.ndarray:
         """Exact-string repair of one run's prefix-sorted permutation.
@@ -1181,11 +1033,6 @@ class ExternalSortOperator:
         try:
             if self._buffer:
                 self._spill_run()
-            if self._selection is not None:
-                # Replacement selection: the working set still holds up
-                # to a threshold of rows; drain it into final run(s).
-                self._rs_drain(final=True)
-                self._selection = None
             if not self._runs:
                 return Table.empty(self.schema)
             if self._compress:
@@ -1267,8 +1114,7 @@ class ExternalSortOperator:
         merges any k directly and this is a no-op.  A bounded fan-in
         models a real memory budget (k frontier blocks must fit): each
         pass merges groups of ``fan_in`` runs into new spilled runs --
-        re-reading and re-writing their bytes -- which is exactly the
-        extra I/O that fewer, longer replacement-selection runs avoid.
+        re-reading and re-writing their bytes.
         Intermediate runs keep full-width keys (row-id suffix included,
         rebased onto the final layout), so later passes treat them like
         any other run.  Exact-string refinement permutes rows *within*
@@ -1353,12 +1199,7 @@ class ExternalSortOperator:
                 prefetcher=prefetcher,
             ):
                 key_parts.append(
-                    self._gather_key_blocks(
-                        group,
-                        run_ids,
-                        row_ids,
-                        prefetch=prefetcher if self._key_carried else None,
-                    )
+                    self._gather_key_blocks(group, run_ids, row_ids)
                 )
                 if self._key_carried:
                     continue
@@ -1452,19 +1293,6 @@ class ExternalSortOperator:
 
         def emit(run_ids: np.ndarray, row_ids: np.ndarray) -> None:
             nonlocal heap_cursor
-            if self._key_carried:
-                # No payload was spilled; re-read the emitted key rows
-                # (rebased onto the final layout) and decode them back
-                # into columns after the merge.
-                key_parts.append(
-                    self._gather_key_blocks(
-                        runs,
-                        run_ids,
-                        row_ids,
-                        prefetch=prefetcher,
-                    )
-                )
-                return
             out_rows = self._gather_blocks(
                 runs, run_ids, row_ids, prefetch=prefetcher
             )
@@ -1479,11 +1307,17 @@ class ExternalSortOperator:
             kernel_stats,
             on_round=self._check_cancelled,
             use_ovc=self.config.use_ovc,
-            emit_keys=refine_end is not None,
+            emit_keys=self._key_carried or refine_end is not None,
             prefetcher=prefetcher,
         )
         try:
-            if refine_end is None:
+            if self._key_carried:
+                # No payload was spilled: the merged key words the kernel
+                # already built are decoded into columns after the merge,
+                # so each run's keys section is read exactly once.
+                for _, _, words in rounds:
+                    key_parts.append(_words_to_bytes(words, merge_width))
+            elif refine_end is None:
                 for run_ids, row_ids in rounds:
                     emit(run_ids, row_ids)
             else:
@@ -1548,12 +1382,9 @@ class ExternalSortOperator:
         if self._key_carried:
             if not key_parts:
                 return Table.empty(self.schema)
-            matrix = (
-                key_parts[0]
-                if len(key_parts) == 1
-                else np.concatenate(key_parts)
+            return decode_key_table(
+                np.concatenate(key_parts), self._final_layout, self.schema
             )
-            return decode_key_table(matrix, self._final_layout, self.schema)
         if not row_parts:
             return Table.empty(self.schema)
         merged = RowBlock(
@@ -1638,9 +1469,8 @@ class ExternalSortOperator:
 
         ``None`` (prefetching disabled, no on-disk runs) keeps the merge
         on the synchronous source iterators.  The row stream carries the
-        dominant per-round I/O: the payload rows, or -- for key-carried
-        runs, which spill no payload -- the full-width key rows the
-        emit path re-reads for decoding.
+        payload rows each round gathers; key-carried runs spill no
+        payload and decode the merged keys, so they prefetch keys only.
         """
         depth = self.config.prefetch_blocks
         if depth <= 0:
@@ -1663,19 +1493,15 @@ class ExternalSortOperator:
                 runs[index], start, stop, merge_width, stats
             )
 
-        if self._key_carried:
-            def row_fetch(index, start, stop, stats):
-                return self._fetch_full_keys(runs[index], start, stop, stats)
-        else:
-            def row_fetch(index, start, stop, stats):
-                return runs[index].read_row_block(start, stop, stats)
+        def row_fetch(index, start, stop, stats):
+            return runs[index].read_row_block(start, stop, stats)
 
         return BlockPrefetcher(
             [run.num_rows for run in runs],
             active,
             self.merge_block_rows,
             key_fetch,
-            row_fetch,
+            None if self._key_carried else row_fetch,
             depth,
             budget,
             self.stats,
@@ -1782,16 +1608,14 @@ class ExternalSortOperator:
         runs: "list[SpilledRun | InMemoryRun]",
         run_ids: np.ndarray,
         row_ids: np.ndarray,
-        prefetch: BlockPrefetcher | None = None,
     ) -> np.ndarray:
         """One emitted round's full key rows in merge order.
 
         Mirror of :meth:`_gather_blocks` over the keys section: one
         contiguous read per contributing run, rebased onto the final
-        layout (the prefetcher's row stream delivers blocks already
-        rebased), then a single vectorized gather back into merge order.
-        Used by the key-carried emit path and by the fan-in merge's
-        intermediate runs.
+        layout, then a single vectorized gather back into merge order.
+        Used by the fan-in merge, whose intermediate runs need the
+        row-id suffix the merged key words do not carry.
         """
         parts: list[np.ndarray] = []
         bases = np.zeros(len(runs), dtype=np.int64)
@@ -1799,12 +1623,9 @@ class ExternalSortOperator:
         for index in np.unique(run_ids):
             positions = row_ids[run_ids == index]
             lo, hi = int(positions.min()), int(positions.max()) + 1
-            if prefetch is not None:
-                parts.append(prefetch.read_rows(int(index), lo, hi))
-            else:
-                parts.append(
-                    self._fetch_full_keys(runs[index], lo, hi, self.stats)
-                )
+            parts.append(
+                self._fetch_full_keys(runs[index], lo, hi, self.stats)
+            )
             bases[index] = cursor - lo
             cursor += hi - lo
         stacked = parts[0] if len(parts) == 1 else np.concatenate(parts)

@@ -14,7 +14,10 @@ exactly byte-wise memcmp.  On top of it:
 * :func:`argsort_rows` -- stable whole-matrix argsort (one ``np.argsort``),
 * :func:`merge_indices` -- merge two sorted matrices via two
   ``np.searchsorted`` calls (O(n log m) comparisons, all in C), returning
-  the gather permutation over the concatenated inputs.
+  the gather permutation over the concatenated inputs,
+* :func:`merge_order` -- the run-adaptive ordering every multi-word merge
+  shares: a stable argsort of the lead word (timsort finds the presorted
+  runs) plus one lexsort over only the rows tied on it.
 
 Correctness requires that memcmp order over the key bytes is the intended
 order, i.e. the keys' ``prefix_exact`` flag holds; callers with truncated
@@ -46,6 +49,7 @@ __all__ = [
     "radix_argsort_rows",
     "RADIX_FINISH_ROWS",
     "merge_indices",
+    "merge_order",
     "merge_matrices",
     "ovc_codes",
     "KWayBlockStats",
@@ -289,6 +293,48 @@ def _common_prefix_words(column_lists: Sequence[Sequence[np.ndarray]]) -> int:
     return skip
 
 
+def merge_order(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """Stable lexicographic order of word columns made of presorted runs.
+
+    ``columns`` are equal-length uint64 word columns, most significant
+    first, whose rows concatenate k sorted runs in run order.  Returns
+    the permutation ``np.lexsort(columns[::-1])`` returns, at merge cost:
+
+    1. a stable ``np.argsort`` of the lead word -- numpy's timsort
+       detects the k presorted runs, so this is O(n log k), not a full
+       sort;
+    2. only the rows tied on the lead word are re-ordered, with one
+       ``np.lexsort`` over the remaining words plus the tie-group id
+       (the group id keeps every group in its slot).
+
+    Stability resolves full ties to the earlier row, hence to the
+    earlier run.
+    """
+    lead = columns[0]
+    order = np.argsort(lead, kind="stable").astype(np.int64, copy=False)
+    if len(columns) == 1:
+        return order
+    ranked = lead[order]
+    tied = ranked[1:] == ranked[:-1]
+    if not tied.any():
+        return order
+    # Rows equal to a neighbour on the lead word, and their tie-group
+    # ids in the narrowest dtype: numpy radix-sorts 8- and 16-bit keys,
+    # so the group pass of the lexsort below costs O(m).
+    member = np.zeros(len(order), dtype=bool)
+    member[1:] = tied
+    member[:-1] |= tied
+    positions = np.flatnonzero(member)
+    first = np.ones(len(positions), dtype=bool)
+    first[1:] = ~tied[positions[1:] - 1]
+    group = np.cumsum(first)
+    group = group.astype(np.min_scalar_type(group[-1]), copy=False)
+    rows = order[positions]
+    keys = tuple(column[rows] for column in reversed(columns[1:]))
+    order[positions] = rows[np.lexsort(keys + (group,))]
+    return order
+
+
 def merge_indices(
     a: np.ndarray,
     b: np.ndarray,
@@ -315,9 +361,10 @@ def merge_indices(
 
     Keys that (after the skip) span at most 8 bytes merge with two
     ``np.searchsorted`` binary searches (O(n log m) native word
-    comparisons); wider keys merge with a stable ``np.lexsort`` over the
-    uint64 word columns of the concatenation.  Either way the Python-level
-    cost is O(1) regardless of the row count.
+    comparisons); wider keys merge with :func:`merge_order` over the
+    uint64 word columns of the concatenation -- a run-adaptive stable
+    argsort of the lead word, then a lexsort of only the rows tied on it.
+    Either way the Python-level cost is O(1) regardless of the row count.
     """
     if a.shape[1] != b.shape[1]:
         raise SortError(
@@ -356,13 +403,11 @@ def merge_indices(
         perm[out_a] = np.arange(n, dtype=np.int64)
         perm[out_b] = np.arange(n, n + m, dtype=np.int64)
         return perm
-    combined = tuple(
-        np.concatenate([col_a, col_b])
-        for col_a, col_b in zip(reversed(cols_a), reversed(cols_b))
+    # Both halves are sorted and the order is stable, so this IS the
+    # merge, with a's rows winning ties.
+    return merge_order(
+        [np.concatenate([col_a, col_b]) for col_a, col_b in zip(cols_a, cols_b)]
     )
-    # lexsort is stable and both halves are sorted, so this IS the merge,
-    # with a's rows winning ties.
-    return np.lexsort(combined).astype(np.int64, copy=False)
 
 
 def merge_matrices(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -458,7 +503,7 @@ def kway_merge_blocks(
     find cross-run tie groups without re-reading the runs).
 
     With ``use_ovc`` (the default) each round applies the offset-value
-    prefix skip before its lexsort: words constant and equal across every
+    prefix skip before it orders rows: words constant and equal across every
     emitted prefix (first-vs-last induction, :func:`_common_prefix_words`)
     are dropped from the sort keys, and a round whose keys are all equal
     orders by run id alone -- ``np.arange``, zero comparisons.  Stored
@@ -477,9 +522,11 @@ def kway_merge_blocks(
        unread equal keys, or stability would break);
     3. the counts of emittable rows per frontier are found by binary
        search (:func:`_count_below`) and the selected prefixes of all
-       frontiers are ordered with one stable ``np.lexsort`` over the
-       uint64 word columns (ties resolve to the earlier run, matching the
-       scalar heap).
+       frontiers, concatenated in run order, are ordered with
+       :func:`merge_order`: a stable argsort of the first word left after
+       the offset-value skip (timsort merges the k presorted prefixes in
+       O(n log k)), then one lexsort over only the rows tied on that word
+       (ties resolve to the earlier run, matching the scalar heap).
 
     Progress is guaranteed: the run holding the cutoff drains its whole
     frontier each round.  At most one block per run is buffered, so the
@@ -575,49 +622,37 @@ def kway_merge_blocks(
             # row, so an empty round means a source yielded unsorted data.
             raise SortError("k-way merge made no progress; runs not sorted?")
         words = len(emit_columns[0])
+        order = None
         if len(emit_runs) == 1:
             run_ids, row_ids = emit_runs[0], emit_rows[0]
-            order = None
+            merged = emit_columns[0]
         else:
-            skip = (
-                _common_prefix_words(emit_columns)
-                if use_ovc
-                else 0
-            )
-            total = sum(len(rows) for rows in emit_rows)
+            merged = [
+                np.concatenate([columns[word] for columns in emit_columns])
+                for word in range(words)
+            ]
+            run_ids = np.concatenate(emit_runs)
+            row_ids = np.concatenate(emit_rows)
+            skip = _common_prefix_words(emit_columns) if use_ovc else 0
             if skip == words:
                 # Every emitted key is the same value: concatenation in
                 # run order already is the stable merge.
-                order = np.arange(total, dtype=np.int64)
                 if stats is not None:
-                    stats.ovc_ties += total
+                    stats.ovc_ties += len(run_ids)
             else:
-                # One stable lexsort over the selected prefixes IS the
-                # k-way merge: each prefix is sorted, and concatenation in
-                # run order makes ties resolve to the earlier run.  Words
-                # the OVC skip decided are left out of the sort keys.
-                merged = tuple(
-                    np.concatenate([columns[word] for columns in emit_columns])
-                    for word in reversed(range(skip, words))
-                )
-                order = np.lexsort(merged)
+                # Each prefix is sorted and concatenation in run order
+                # makes ties resolve to the earlier run, so a stable order
+                # of the concatenation IS the k-way merge.  Words the OVC
+                # skip decided are left out of the sort keys.
+                order = merge_order(merged[skip:])
+                run_ids, row_ids = run_ids[order], row_ids[order]
                 if stats is not None:
-                    stats.ovc_compares += total
-            run_ids = np.concatenate(emit_runs)[order]
-            row_ids = np.concatenate(emit_rows)[order]
+                    stats.ovc_compares += len(run_ids)
         if stats is not None:
             stats.rows_emitted += len(run_ids)
             stats.ovc_ties += dup_rows
         if emit_keys:
-            merged_words = np.stack(
-                [
-                    np.concatenate([columns[word] for columns in emit_columns])
-                    for word in range(words)
-                ],
-                axis=1,
-            )
-            if order is not None:
-                merged_words = merged_words[order]
-            yield run_ids, row_ids, merged_words
+            keys = np.stack(merged, axis=1)
+            yield run_ids, row_ids, keys if order is None else keys[order]
         else:
             yield run_ids, row_ids

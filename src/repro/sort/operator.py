@@ -248,16 +248,6 @@ class SortConfig:
             so prefetch memory is charged against the same budget that
             sizes runs.  ``0`` disables prefetching (every spill read is
             synchronous on the merge's critical path).
-        replacement_selection: run-generation policy of the external
-            sort.  ``None`` (default) probes the presortedness of the
-            buffered input (sampled first-key-word diffs,
-            :func:`repro.sort.rungen.presortedness`) and switches to
-            replacement selection when the input arrives near-sorted --
-            runs then grow past ``run_threshold`` (up to
-            :data:`repro.sort.rungen.RUN_CAP_FACTOR` times it), so fewer
-            runs reach the merge.  ``True`` forces replacement selection,
-            ``False`` always cuts runs at the threshold (the argsort
-            path).  Output is byte-identical either way.
         cancel_event: cooperative cancellation flag (any object with an
             ``is_set()`` method, typically a ``threading.Event``).  Both
             sort operators poll it at their checkpoints -- sink, run
@@ -286,9 +276,8 @@ class SortConfig:
             sort.  ``0`` (default) merges all runs in one pass.  With a
             limit, excess runs are first combined in intermediate passes
             that re-spill merged runs -- each pass re-reads and re-writes
-            its input, which is exactly the I/O replacement selection's
-            longer runs avoid (``SortStats.merge_passes`` records the
-            pass count).  Ignored on the scalar path and when truncated
+            its input (``SortStats.merge_passes`` records the pass
+            count).  Ignored on the scalar path and when truncated
             VARCHAR prefixes require exact-string refinement (those
             merges stay single-pass).
     """
@@ -311,7 +300,6 @@ class SortConfig:
     exact_varchar: bool = True
     use_ovc: bool = True
     prefetch_blocks: int = 1
-    replacement_selection: bool | None = None
     merge_fan_in: int = 0
     cancel_event: object | None = field(default=None, compare=False)
     memory_grant: object | None = field(default=None, compare=False)
@@ -417,11 +405,10 @@ class SortStats:
     once (the budget observably holding).
 
     The run-generation shape: ``run_lengths`` holds the row count of
-    every external run in generation order (the run-length histogram --
-    replacement selection shows up as runs longer than the threshold);
-    ``rungen_path`` names the dispatched generator (``"argsort"`` or
-    ``"replacement_selection"``) and ``rungen_probe`` the measured
-    presortedness in [0, 1] (-1 before any probe ran).
+    every external run in generation order (the run-length histogram);
+    ``rungen_path`` is ``"argsort"`` once an external sort has cut a run
+    (every run is one stable vector sort of the buffered rows) and
+    stays ``""`` for in-memory sorts.
     ``merge_passes`` counts k-way merge passes over the data
     (1 unless ``SortConfig.merge_fan_in`` forces intermediate passes).
     ``governor_forced_spills`` counts runs cut below the configured
@@ -482,7 +469,6 @@ class SortStats:
     prefetch_peak_blocks: int = 0
     run_lengths: list[int] = field(default_factory=list)
     rungen_path: str = ""
-    rungen_probe: float = -1.0
     merge_passes: int = 0
     governor_forced_spills: int = 0
     sorts_elided: int = 0

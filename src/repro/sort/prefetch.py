@@ -19,8 +19,8 @@ consumes a spilled run:
   of every contributing run's rows, so payload consumption trails key
   consumption run-by-run.  :meth:`BlockPrefetcher.read_rows` serves
   those gathers from a buffered window of payload blocks scheduled in
-  lockstep with the delivered key blocks (for key-carried runs the
-  "payload" is the keys section re-read at full width).
+  lockstep with the delivered key blocks.  Key-carried runs have no
+  payload (``row_fetch=None``): the merge decodes its merged keys.
 
 **Forecasting.**  Read-ahead slots are a scarce resource (see budget
 below), so they go to the runs that will exhaust their buffered data

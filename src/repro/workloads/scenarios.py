@@ -1,13 +1,13 @@
 """Scenario-diversity workload suite: the sort paths' stress catalog.
 
 Every benchmark recorded before this module ran mostly uniform-random
-int64, so the heuristic dispatch (radix vs lexsort vs argsort), the
-replacement-selection probe, offset-value coding, and key compression
-were never exercised on the skewed, near-sorted, duplicate-heavy, and
-string-heavy inputs the paper's TPC-DS evaluation targets.  This module
-is the fix: a seed-deterministic generator suite, each input shape
-declared as a :class:`Scenario`, shared by the differential oracle
-tests, the bench matrix (``benchmarks/bench_matrix.py``), and the
+int64, so the heuristic dispatch (radix vs lexsort vs argsort),
+offset-value coding, and key compression were never exercised on the
+skewed, near-sorted, duplicate-heavy, and string-heavy inputs the
+paper's TPC-DS evaluation targets.  This module is the fix: a
+seed-deterministic generator suite, each input shape declared as a
+:class:`Scenario`, shared by the differential oracle tests, the bench
+matrix (``benchmarks/bench_matrix.py``), and the
 regression gate (``benchmarks/regress.py``).
 
 Two layers:
@@ -64,7 +64,7 @@ __all__ = [
 
 def uniform_values(rng: np.random.Generator, n: int) -> np.ndarray:
     """Independent draws over the full int64 range: the baseline where
-    replacement selection only reaches the classic ~2x run length."""
+    runs share no order and every merge round interleaves them."""
     return rng.integers(-(1 << 62), 1 << 62, n).astype(np.int64)
 
 
@@ -79,8 +79,8 @@ def near_sorted_values(
     An already-sorted sequence perturbed two ways at once: bounded local
     jitter (every row within ``jitter`` positions of its sorted place,
     like a log with bounded clock skew) plus a sparse fraction of rows
-    displaced arbitrarily far (late arrivals).  Replacement selection
-    turns this into a handful of giant runs.
+    displaced arbitrarily far (late arrivals).  Runs cut from it are
+    nearly disjoint, so the run-adaptive merge rarely interleaves them.
     """
     base = np.arange(n, dtype=np.int64)
     keys = base + rng.integers(-jitter, jitter + 1, n)
@@ -90,8 +90,8 @@ def near_sorted_values(
 
 
 def reverse_values(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Strictly descending: replacement selection's worst case (every
-    incoming row is below the fence, so runs cannot grow)."""
+    """Strictly descending: every run arrives in reverse, so run
+    generation does a full sort and the merge interleaves nothing."""
     del rng  # deterministic scenario; signature kept uniform
     return np.arange(n, 0, -1, dtype=np.int64)
 
@@ -279,14 +279,13 @@ SCENARIOS: dict[str, Scenario] = {
         Scenario(
             "near_sorted",
             "already-sorted int64 with bounded jitter plus sparse far "
-            "displacements; replacement selection's best case",
+            "displacements; the run-adaptive merge's best case",
             "a, p",
             (ColumnSpec("a", "near_sorted", (("jitter", 64),)),),
         ),
         Scenario(
             "reverse",
-            "strictly descending int64; replacement selection's worst "
-            "case",
+            "strictly descending int64; every run arrives reversed",
             "a, p",
             (ColumnSpec("a", "reverse"),),
         ),

@@ -1,16 +1,17 @@
-"""Overlapped prefetch, replacement selection, and multipass merging.
+"""Overlapped prefetch, run-shaped inputs, and multipass merging.
 
 Three properties anchor every test here:
 
 * **Byte identity.**  Normalized keys carry a unique ascending row-id
   suffix, so the final output is a function of the input alone -- not of
   run partitioning, read-ahead timing, or merge pass shape.  Every
-  feature configuration must therefore produce byte-identical output.
+  feature configuration must therefore produce output byte-identical to
+  the tuple-key oracle.
 * **Bounded resources.**  Read-ahead stays within its block budget, no
-  prefetch thread survives a sort, and spill directories end empty.
-* **Honest dispatch.**  The presortedness probe picks replacement
-  selection only where it helps, and the exact-string gate keeps it
-  (and multipass merging) off paths whose key bytes are refined later.
+  prefetch thread survives a sort, spill directories end empty, and a
+  key-carried sort reads each run's keys exactly once.
+* **Honest gating.**  The exact-string gate keeps multipass merging off
+  paths whose key bytes are refined later.
 """
 
 from __future__ import annotations
@@ -22,20 +23,20 @@ import numpy as np
 import pytest
 
 from test_external_kway import SPECS, assert_byte_identical, mixed_table
+from test_oracle import oracle_sort
 from repro.errors import SortError
 from repro.sort.external import ExternalSortOperator
-from repro.sort.faults import SlowStorageIO
+from repro.sort.faults import SlowStorageIO, SpillIO
 from repro.sort.operator import SortConfig
 from repro.sort.prefetch import prefetch_budget_blocks
-from repro.sort.rungen import (
-    PROBE_THRESHOLD,
-    RUN_CAP_FACTOR,
-    presortedness,
-)
 from repro.sort.spillfile import VerifiedTailCache
 from repro.table.chunk import chunk_table
 from repro.table.table import Table
 from repro.types.sortspec import SortSpec
+
+
+def spec_of(text):
+    return SortSpec.of(*[part.strip() for part in text.split(",")])
 
 
 def sort_external(table, spec, directory, io=None, **overrides):
@@ -44,7 +45,7 @@ def sort_external(table, spec, directory, io=None, **overrides):
     os.makedirs(directory, exist_ok=True)
     operator = ExternalSortOperator(
         table.schema,
-        SortSpec.of(*[part.strip() for part in spec.split(",")]),
+        spec_of(spec),
         SortConfig(**config_kwargs),
         spill_directory=str(directory),
         io=io,
@@ -54,6 +55,14 @@ def sort_external(table, spec, directory, io=None, **overrides):
             operator.sink(chunk)
         result = operator.finalize()
     return result, operator.stats
+
+
+def assert_matches_oracle(table, spec, directory, **overrides):
+    """Sort externally and compare byte for byte with the oracle."""
+    result, stats = sort_external(table, spec, directory, **overrides)
+    assert_byte_identical(result, oracle_sort(table, spec_of(spec)))
+    assert stats.rungen_path == "argsort"
+    return stats
 
 
 def near_sorted_table(rng, n, jitter=40):
@@ -141,54 +150,28 @@ class TestSlowStorageOverlap:
 
 
 class TestReplacementSelection:
+    """The inputs replacement selection targeted, now on argsort runs.
+
+    Near-sorted, reversed and duplicate-heavy inputs stress the
+    run-adaptive merge (presorted runs, one long tie group); each must
+    match the tuple-key oracle byte for byte.
+    """
+
     @pytest.mark.parametrize("spec", SPECS)
-    def test_forced_rs_byte_identical(self, rng, tmp_path, spec):
-        table = mixed_table(rng, 6000)
-        plain, _ = sort_external(
-            table, spec, tmp_path / "plain", replacement_selection=False
-        )
-        forced, stats = sort_external(
-            table, spec, tmp_path / "forced", replacement_selection=True
-        )
-        assert_byte_identical(forced, plain)
-        if any(part.strip().startswith("s") for part in spec.split(",")):
-            # Exact string sorting refines key bytes during the merge;
-            # replacement selection must stay gated off.
-            assert stats.rungen_path == "argsort"
-        else:
-            assert stats.rungen_path == "replacement_selection"
+    def test_external_matches_oracle(self, rng, tmp_path, spec):
+        assert_matches_oracle(mixed_table(rng, 6000), spec, tmp_path)
 
-    def test_near_sorted_longer_fewer_runs(self, rng, tmp_path):
-        table = near_sorted_table(rng, 8000)
-        plain, plain_stats = sort_external(
-            table, "a", tmp_path / "plain", replacement_selection=False
-        )
-        forced, stats = sort_external(
-            table, "a", tmp_path / "forced", replacement_selection=True
-        )
-        assert_byte_identical(forced, plain)
-        assert stats.runs_generated < plain_stats.runs_generated
-        assert max(stats.run_lengths) > 1000  # beyond the run threshold
-        # The cap closes a run within one selection step of the limit.
-        assert max(stats.run_lengths) <= RUN_CAP_FACTOR * 1000 + 2048
-
-    def test_auto_dispatch_probes(self, rng, tmp_path):
+    def test_near_sorted_and_random_match_oracle(self, rng, tmp_path):
         near = near_sorted_table(rng, 6000)
-        _, near_stats = sort_external(table=near, spec="a", directory=tmp_path / "near")
-        assert near_stats.rungen_path == "replacement_selection"
-        assert near_stats.rungen_probe >= PROBE_THRESHOLD
-
+        stats = assert_matches_oracle(near, "a", tmp_path / "near")
+        assert max(stats.run_lengths) <= 1000 + 512  # cut at the threshold
         random_table = Table.from_pydict(
             {
                 "a": [int(v) for v in rng.integers(0, 1 << 40, 6000)],
                 "p": list(range(6000)),
             }
         )
-        _, random_stats = sort_external(
-            table=random_table, spec="a", directory=tmp_path / "random"
-        )
-        assert random_stats.rungen_path == "argsort"
-        assert 0.0 <= random_stats.rungen_probe < PROBE_THRESHOLD
+        assert_matches_oracle(random_table, "a", tmp_path / "random")
 
     def test_desc_nulls_first(self, rng, tmp_path):
         values = [
@@ -196,15 +179,7 @@ class TestReplacementSelection:
             for v in rng.integers(0, 500, 6000)
         ]
         table = Table.from_pydict({"a": values, "p": list(range(6000))})
-        spec = "a DESC NULLS FIRST"
-        plain, _ = sort_external(
-            table, spec, tmp_path / "plain", replacement_selection=False
-        )
-        forced, stats = sort_external(
-            table, spec, tmp_path / "forced", replacement_selection=True
-        )
-        assert stats.rungen_path == "replacement_selection"
-        assert_byte_identical(forced, plain)
+        assert_matches_oracle(table, "a DESC NULLS FIRST", tmp_path)
 
     def test_duplicate_heavy(self, rng, tmp_path):
         table = Table.from_pydict(
@@ -213,14 +188,7 @@ class TestReplacementSelection:
                 "p": list(range(6000)),
             }
         )
-        plain, plain_stats = sort_external(
-            table, "a", tmp_path / "plain", replacement_selection=False
-        )
-        forced, stats = sort_external(
-            table, "a", tmp_path / "forced", replacement_selection=True
-        )
-        assert_byte_identical(forced, plain)
-        assert stats.runs_generated < plain_stats.runs_generated
+        assert_matches_oracle(table, "a", tmp_path)
 
     def test_reverse_worst_case(self, rng, tmp_path):
         table = Table.from_pydict(
@@ -229,35 +197,72 @@ class TestReplacementSelection:
                 "p": [int(v) for v in rng.integers(0, 1 << 30, 6000)],
             }
         )
-        plain, _ = sort_external(
-            table, "a", tmp_path / "plain", replacement_selection=False
-        )
-        forced, _ = sort_external(
-            table, "a", tmp_path / "forced", replacement_selection=True
-        )
-        assert_byte_identical(forced, plain)
+        assert_matches_oracle(table, "a", tmp_path)
 
     def test_mixed_numeric_types(self, rng, tmp_path):
-        table = mixed_table(rng, 6000)
-        spec = "a, f DESC"
-        plain, _ = sort_external(
-            table, spec, tmp_path / "plain", replacement_selection=False
-        )
-        forced, stats = sort_external(
-            table, spec, tmp_path / "forced", replacement_selection=True
-        )
-        assert stats.rungen_path == "replacement_selection"
-        assert_byte_identical(forced, plain)
+        assert_matches_oracle(mixed_table(rng, 6000), "a, f DESC", tmp_path)
 
-    def test_probe_shapes(self):
-        rng = np.random.default_rng(5)
-        sorted_keys = np.sort(
-            rng.integers(0, 1 << 62, 4096).astype(np.uint64)
-        ).astype(">u8").view(np.uint8).reshape(4096, 8)
-        assert presortedness(sorted_keys) == 1.0
-        assert presortedness(sorted_keys[::-1]) == 0.0
-        shuffled = sorted_keys[rng.permutation(4096)]
-        assert 0.2 < presortedness(shuffled) < 0.8
+
+class CountingIO(SpillIO):
+    """Records every write's section sizes and every ranged read."""
+
+    def __init__(self) -> None:
+        self.sections: dict[str, list[int]] = {}
+        self.reads: list[tuple[str, int, int]] = []
+        self._lock = threading.Lock()
+
+    def write_file(self, path, sections):
+        with self._lock:
+            self.sections[path] = [len(section) for section in sections]
+        super().write_file(path, sections)
+
+    def read(self, path, offset, nbytes):
+        with self._lock:
+            self.reads.append((path, offset, nbytes))
+        return super().read(path, offset, nbytes)
+
+    def keys_bytes_read(self, path):
+        """Bytes read inside a run file's keys section."""
+        header, keys = self.sections[path][:2]
+        lo, hi = header, header + keys
+        return sum(
+            max(0, min(hi, offset + nbytes) - max(lo, offset))
+            for read_path, offset, nbytes in self.reads
+            if read_path == path
+        )
+
+
+class TestKeyCarriedSingleRead:
+    @pytest.mark.parametrize("prefetch_blocks", [0, 1])
+    def test_keys_section_read_once(self, rng, tmp_path, prefetch_blocks):
+        n = 6000
+        table = Table.from_pydict(
+            {
+                "a": [
+                    None if v % 11 == 0 else int(v)
+                    for v in rng.integers(-50, 50, n)
+                ],
+                "b": [int(v) for v in rng.integers(0, 1 << 40, n)],
+            }
+        )
+        io = CountingIO()
+        result, stats = sort_external(
+            table,
+            "a DESC NULLS FIRST, b",
+            tmp_path,
+            io=io,
+            prefetch_blocks=prefetch_blocks,
+        )
+        assert_byte_identical(
+            result, oracle_sort(table, spec_of("a DESC NULLS FIRST, b"))
+        )
+        assert stats.runs_generated >= 4
+        assert stats.key_carried_runs == stats.runs_generated
+        assert len(io.sections) == stats.runs_generated
+        for path, sizes in io.sections.items():
+            _, keys, rows, heap = sizes
+            assert rows == heap == 0  # nothing but keys was spilled
+            assert io.keys_bytes_read(path) == keys, path
 
 
 class TestMultipassMerge:
@@ -319,27 +324,18 @@ class TestMultipassMerge:
         with pytest.raises(SortError):
             SortConfig(prefetch_blocks=-1)
 
-    def test_fan_in_composes_with_rs_and_prefetch(self, rng, tmp_path):
+    def test_fan_in_composes_with_prefetch(self, rng, tmp_path):
         table = near_sorted_table(rng, 8000)
-        reference, _ = sort_external(
-            table,
-            "a",
-            tmp_path / "ref",
-            run_threshold=500,
-            prefetch_blocks=0,
-            replacement_selection=False,
-        )
         combined, stats = sort_external(
             table,
             "a",
-            tmp_path / "combined",
+            tmp_path,
             run_threshold=500,
             prefetch_blocks=2,
-            replacement_selection=True,
             merge_fan_in=4,
         )
-        assert_byte_identical(combined, reference)
-        assert stats.rungen_path == "replacement_selection"
+        assert_byte_identical(combined, oracle_sort(table, spec_of("a")))
+        assert stats.merge_passes >= 2
         assert no_prefetch_threads()
 
 

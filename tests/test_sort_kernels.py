@@ -23,6 +23,7 @@ from repro.sort.kernels import (
     kway_merge_blocks,
     merge_indices,
     merge_matrices,
+    merge_order,
     radix_argsort_rows,
     void_view,
 )
@@ -128,6 +129,133 @@ class TestMergeIndices:
             merge_indices(
                 np.zeros((2, 3), dtype=np.uint8), np.zeros((2, 4), dtype=np.uint8)
             )
+
+
+def sorted_runs_columns(runs, words):
+    """Word columns of the concatenation of individually sorted runs."""
+    parts = []
+    for run in runs:
+        matrix = np.asarray(run, dtype=np.uint64).reshape(-1, words)
+        if len(matrix):
+            matrix = matrix[np.lexsort(matrix.T[::-1])]
+        parts.append(matrix)
+    stacked = np.concatenate(parts or [np.empty((0, words), np.uint64)])
+    return [np.ascontiguousarray(stacked[:, word]) for word in range(words)]
+
+
+def lexsort_columns(columns):
+    return np.lexsort(tuple(reversed(columns))).tolist()
+
+
+word_runs = st.integers(1, 3).flatmap(
+    lambda words: st.tuples(
+        st.just(words),
+        st.sampled_from([2, 5, 1 << 64]).flatmap(
+            lambda alphabet: st.lists(
+                st.lists(
+                    st.tuples(*[st.integers(0, alphabet - 1)] * words),
+                    max_size=12,
+                ),
+                max_size=5,
+            )
+        ),
+    )
+)
+
+
+class TestMergeOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(word_runs)
+    def test_matches_lexsort_on_sorted_runs(self, case):
+        words, runs = case
+        columns = sorted_runs_columns(runs, words)
+        assert merge_order(columns).tolist() == lexsort_columns(columns)
+
+    @pytest.mark.parametrize(
+        "lead",
+        [
+            pytest.param([7] * 6, id="all-tied-on-lead"),
+            pytest.param([0, 1, 2, 3, 4, 5], id="no-ties"),
+            pytest.param([3, 3, 1, 4, 4, 4], id="mixed-ties"),
+        ],
+    )
+    def test_tie_shapes(self, lead):
+        # Two runs of three rows each; the second word decides ties and
+        # its equal values must keep run order.
+        second = [2, 1, 1, 2, 1, 2]
+        rows = list(zip(lead, second))
+        columns = sorted_runs_columns([rows[:3], rows[3:]], 2)
+        assert merge_order(columns).tolist() == lexsort_columns(columns)
+
+    @pytest.mark.parametrize("groups", [300, 70_000])
+    def test_many_tie_groups(self, rng, groups):
+        # Past 255 / 65535 groups the tie-group ids need wider dtypes.
+        lead = np.repeat(np.arange(groups, dtype=np.uint64), 2)
+        runs = [
+            list(zip(lead, rng.integers(0, 4, len(lead), dtype=np.uint64)))
+            for _ in range(2)
+        ]
+        columns = sorted_runs_columns(runs, 2)
+        assert merge_order(columns).tolist() == lexsort_columns(columns)
+
+    def test_single_word(self):
+        columns = sorted_runs_columns([[(5,), (9,)], [(1,), (5,), (9,)]], 1)
+        assert merge_order(columns).tolist() == [2, 0, 3, 1, 4]
+
+    def test_single_row_and_empty(self):
+        one = [np.array([4], dtype=np.uint64), np.array([1], dtype=np.uint64)]
+        assert merge_order(one).tolist() == [0]
+        empty = [np.empty(0, dtype=np.uint64)] * 2
+        assert merge_order(empty).tolist() == []
+        assert merge_order(empty).dtype == np.int64
+
+    def test_ties_resolve_to_earlier_run(self):
+        columns = sorted_runs_columns([[(1, 1)] * 3, [(1, 1)] * 2], 2)
+        assert merge_order(columns).tolist() == [0, 1, 2, 3, 4]
+
+
+class TestKWayMergeBlocksMatchesArgsort:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        k=st.integers(1, 5),
+        width=st.sampled_from([1, 3, 8, 9, 13, 20]),
+        alphabet=st.sampled_from([2, 3, 256]),
+        block_rows=st.integers(1, 7),
+        use_ovc=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_argsort_of_concatenation(
+        self, k, width, alphabet, block_rows, use_ovc, seed
+    ):
+        # Small blocks over a small alphabet split tie groups across
+        # rounds, so the cutoff-owner stability rule is exercised.
+        rng = np.random.default_rng(seed)
+        runs = []
+        for _ in range(k):
+            rows = int(rng.integers(0, 25))
+            matrix = random_matrix(rng, rows, width, alphabet)
+            runs.append(matrix[argsort_rows(matrix)] if rows else matrix)
+        offsets = np.cumsum([0] + [len(run) for run in runs])
+
+        def blocks(matrix):
+            for start in range(0, len(matrix), block_rows):
+                yield matrix[start : start + block_rows]
+
+        order, keys = [], []
+        for run_ids, row_ids, words in kway_merge_blocks(
+            [blocks(run) for run in runs], use_ovc=use_ovc, emit_keys=True
+        ):
+            order.extend((offsets[run_ids] + row_ids).tolist())
+            keys.append(words)
+        everything = np.concatenate(runs)
+        if not len(everything):
+            assert order == []
+            return
+        expected = argsort_rows(everything)
+        assert order == expected.tolist()
+        # The emitted key words are the merged rows themselves.
+        words = np.stack(kernels._chunk_columns(everything[expected]), axis=1)
+        assert np.array_equal(np.concatenate(keys), words)
 
 
 class TestCascadeMergeIndices:
