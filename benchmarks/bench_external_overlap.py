@@ -159,12 +159,12 @@ def bench_overlap(rows: int) -> dict:
     return result
 
 
-def main(rows: int = DEFAULT_ROWS) -> dict:
+def main(rows: int = DEFAULT_ROWS, out: str = OUTPUT) -> dict:
     results = {
         "cpu_count": os.cpu_count(),
         "overlap_int64": bench_overlap(rows),
     }
-    with open(OUTPUT, "w") as fh:
+    with open(out, "w") as fh:
         json.dump(results, fh, indent=2)
         fh.write("\n")
     overlap = results["overlap_int64"]
@@ -175,24 +175,27 @@ def main(rows: int = DEFAULT_ROWS) -> dict:
             f"({sides['speedup']:.2f}x, hit_rate "
             f"{sides['on']['prefetch_hit_rate']:.2f})"
         )
-    print(f"wrote {OUTPUT} (cpu_count={results['cpu_count']})")
+    print(f"wrote {out} (cpu_count={results['cpu_count']})")
     return results
 
 
-def test_external_overlap_bench_smoke(capsys):
+def test_external_overlap_bench_smoke(tmp_path, capsys):
+    out = tmp_path / "BENCH_external.json"
     with capsys.disabled():
         print()
-        results = main(rows=120_000)
+        results = main(rows=120_000, out=str(out))
     overlap = results["overlap_int64"]
     # Byte identity is asserted inside main(); the slow-storage profile
     # must show real overlap even on a single-core runner (the injected
     # latency sleeps without the GIL).
     assert overlap["profiles"]["slow_storage"]["speedup"] >= 1.2
     assert overlap["profiles"]["slow_storage"]["on"]["prefetch_hits"] > 0
-    assert os.path.exists(OUTPUT)
+    assert out.exists()
 
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rows", type=int, default=DEFAULT_ROWS)
-    main(rows=parser.parse_args().rows)
+    parser.add_argument("--out", type=str, default=OUTPUT)
+    arguments = parser.parse_args()
+    main(rows=arguments.rows, out=arguments.out)

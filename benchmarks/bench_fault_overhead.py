@@ -22,6 +22,7 @@ pytest.
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import sys
@@ -119,9 +120,9 @@ def bench_checksum_overhead():
     return result
 
 
-def main():
+def main(out=OUTPUT):
     results = {"checksum_overhead": bench_checksum_overhead()}
-    with open(OUTPUT, "w") as fh:
+    with open(out, "w") as fh:
         json.dump(results, fh, indent=2)
         fh.write("\n")
     numbers = results["checksum_overhead"]
@@ -130,22 +131,25 @@ def main():
         f"rows/s, unverified {numbers['unverified_rows_per_s']:,.0f} rows/s, "
         f"overhead {numbers['overhead_ratio'] * 100:.1f}%"
     )
-    print(f"wrote {OUTPUT}")
+    print(f"wrote {out}")
     return results
 
 
 @pytest.mark.slow
-def test_fault_overhead(capsys):
+def test_fault_overhead(tmp_path, capsys):
+    out = tmp_path / "BENCH_faults.json"
     with capsys.disabled():
         print()
-        results = main()
+        results = main(out=str(out))
     overhead = results["checksum_overhead"]["overhead_ratio"]
     assert overhead < MAX_OVERHEAD, (
         f"spill header+checksum overhead {overhead * 100:.1f}% exceeds "
         f"the {MAX_OVERHEAD * 100:.0f}% acceptance bar"
     )
-    assert os.path.exists(OUTPUT)
+    assert out.exists()
 
 
 if __name__ == "__main__":
-    main()
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", type=str, default=OUTPUT)
+    main(out=parser.parse_args().out)

@@ -216,7 +216,7 @@ def bench_bytes_per_key(rng: np.random.Generator, rows: int) -> dict:
     return result
 
 
-def main(rows: int = DEFAULT_ROWS) -> dict:
+def main(rows: int = DEFAULT_ROWS, out: str = OUTPUT) -> dict:
     rng = np.random.default_rng(29)
     table = _narrow_table(rng, rows)
     spec = SortSpec.of("grp", "code", "seq")
@@ -226,7 +226,7 @@ def main(rows: int = DEFAULT_ROWS) -> dict:
         "kernel_radix_vs_lexsort": bench_kernels(rng, rows),
         "bytes_per_key": bench_bytes_per_key(rng, min(rows, 100_000)),
     }
-    with open(OUTPUT, "w") as fh:
+    with open(out, "w") as fh:
         json.dump(results, fh, indent=2)
         fh.write("\n")
     ext = results["external_narrow_int64"]
@@ -250,14 +250,15 @@ def main(rows: int = DEFAULT_ROWS) -> dict:
             f"{stats['bytes_per_key_full']} "
             f"({stats['compression_ratio']:.2f}x)"
         )
-    print(f"wrote {OUTPUT} (cpu_count={results['cpu_count']})")
+    print(f"wrote {out} (cpu_count={results['cpu_count']})")
     return results
 
 
-def test_compression_bench_smoke(capsys):
+def test_compression_bench_smoke(tmp_path, capsys):
+    out = tmp_path / "BENCH_compression.json"
     with capsys.disabled():
         print()
-        results = main(rows=120_000)
+        results = main(rows=120_000, out=str(out))
     # Output equality and the spill-byte floor are asserted inside main();
     # here only completeness of the recorded sections.
     assert results["external_narrow_int64"]["spill_reduction"] >= 2.0
@@ -267,10 +268,12 @@ def test_compression_bench_smoke(capsys):
         "int64_float64",
         "string_int64",
     }
-    assert os.path.exists(OUTPUT)
+    assert out.exists()
 
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rows", type=int, default=DEFAULT_ROWS)
-    main(rows=parser.parse_args().rows)
+    parser.add_argument("--out", type=str, default=OUTPUT)
+    arguments = parser.parse_args()
+    main(rows=arguments.rows, out=arguments.out)

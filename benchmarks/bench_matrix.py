@@ -10,17 +10,18 @@ cell per (scenario, path):
   single scheduler hiccup does not poison the recorded artifact);
 * the heuristic dispatch decisions that run actually made
   (``vector_sort_paths`` / ``vector_sort_reasons`` per generated run,
-  the external ``rungen_path``, the chosen algorithm) -- these are
-  **deterministic** for a given (rows, seed), which is what lets
+  the external ``rungen_path``) -- these are **deterministic** for a
+  given (rows, seed), which is what lets
   ``benchmarks/regress.py`` gate on them;
 * the run-length histogram summary, merge passes, k-way rounds, and the
   degradation/spill counters.
 
-Every cell's output is asserted **byte-identical** to the scalar oracle
-(``SortConfig(use_vector_kernels=False)`` -- the row-at-a-time reference
-path) before its timing is recorded; the Top-N cell compares against the
-oracle's ``[offset, offset+limit)`` slice.  A cell that diverges raises
-with the scenario name, path, rows, and seed in the message.
+Every cell's output is asserted **byte-identical** to the tuple-key
+oracle (a stable Python sort on
+:func:`repro.types.sortspec.tuple_compare`) before its timing is
+recorded; the Top-N cell compares against the oracle's
+``[offset, offset+limit)`` slice.  A cell that diverges raises with the
+scenario name, path, rows, and seed in the message.
 
 The recorded ``BENCH_matrix.json`` at the repository root is the
 committed trajectory baseline: CI re-runs this script at the same
@@ -35,6 +36,7 @@ Runs standalone (``python benchmarks/bench_matrix.py [--rows N]
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -51,12 +53,12 @@ from repro.engine import Database  # noqa: E402
 from repro.service import SortService  # noqa: E402
 from repro.sort.external import ExternalSortOperator  # noqa: E402
 from repro.sort.incremental import IncrementalSorter  # noqa: E402
-from repro.sort.operator import SortConfig, SortOperator, sort_table  # noqa: E402
+from repro.sort.operator import SortConfig, SortOperator  # noqa: E402
 from repro.sort.parallel_exec import parallel_platform_supported  # noqa: E402
 from repro.sort.topn import TopNOperator  # noqa: E402
 from repro.table.chunk import chunk_table  # noqa: E402
 from repro.table.table import Table  # noqa: E402
-from repro.types.sortspec import SortSpec  # noqa: E402
+from repro.types.sortspec import SortSpec, tuple_compare  # noqa: E402
 from repro.workloads.scenarios import SCENARIOS  # noqa: E402
 
 OUTPUT = os.path.join(os.path.dirname(_SRC), "BENCH_matrix.json")
@@ -83,10 +85,23 @@ def _spec(scenario) -> SortSpec:
     return SortSpec.of(*[part.strip() for part in scenario.order_by.split(",")])
 
 
+def oracle_sort(table: Table, spec: SortSpec) -> Table:
+    """Stable row-at-a-time sort of ``table`` under ``tuple_compare``."""
+    columns = [table.column(name).to_pylist() for name in spec.column_names]
+    keys = list(zip(*columns))
+    order = sorted(
+        range(table.num_rows),
+        key=functools.cmp_to_key(
+            lambda i, j: tuple_compare(keys[i], keys[j], spec)
+        ),
+    )
+    return table.take(np.asarray(order, dtype=np.int64))
+
+
 def assert_identical(
     actual: Table, expected: Table, context: str, strict: bool = True
 ) -> None:
-    """Byte-identity between a path's output and the scalar oracle.
+    """Byte-identity between a path's output and the tuple-key oracle.
 
     ``strict=False`` (the Top-N cell, which rebuilds rows instead of
     gathering them) still compares validity exactly and every valid
@@ -124,7 +139,6 @@ def _run_lengths_summary(lengths) -> dict:
 def _dispatch_summary(stats) -> dict:
     """The gate-visible slice of a ``SortStats``: dispatch + run shape."""
     return {
-        "algorithm": stats.algorithm,
         "vector_sort_paths": dict(stats.vector_sort_paths),
         "vector_sort_reasons": dict(stats.vector_sort_reasons),
         "rungen_path": stats.rungen_path,
@@ -292,7 +306,7 @@ def bench_scenario(scenario, rows):
     table = scenario.table(rows, seed=SEED)
     spec = _spec(scenario)
     started = time.perf_counter()
-    oracle = sort_table(table, spec, SortConfig(use_vector_kernels=False))
+    oracle = oracle_sort(table, spec)
     oracle_s = time.perf_counter() - started
     cells = {
         path: bench_cell(path, scenario, table, spec, oracle, rows)
@@ -332,7 +346,7 @@ def main(rows: int = DEFAULT_ROWS, out: str = OUTPUT) -> dict:
         fh.write("\n")
     print(
         f"wrote {out}: {len(results['scenarios'])} scenarios x "
-        f"{len(PATHS)} paths, every cell byte-identical to the scalar oracle"
+        f"{len(PATHS)} paths, every cell byte-identical to the tuple-key oracle"
     )
     return results
 

@@ -146,7 +146,7 @@ def bench_external(table: Table, spec: SortSpec, rows: int) -> dict:
     return result
 
 
-def main(rows: int = DEFAULT_ROWS) -> dict:
+def main(rows: int = DEFAULT_ROWS, out: str = OUTPUT) -> dict:
     if not parallel_platform_supported():
         print("platform lacks fork/POSIX shared memory; nothing to measure")
         return {}
@@ -160,7 +160,7 @@ def main(rows: int = DEFAULT_ROWS) -> dict:
         "in_memory_int64": bench_in_memory(table, spec, rows),
         "external_int64": bench_external(table, spec, rows),
     }
-    with open(OUTPUT, "w") as fh:
+    with open(out, "w") as fh:
         json.dump(results, fh, indent=2)
         fh.write("\n")
     for name in ("in_memory_int64", "external_int64"):
@@ -172,25 +172,28 @@ def main(rows: int = DEFAULT_ROWS) -> dict:
                 f"({stats['speedup_vs_serial']:.2f}x)"
             )
         print(line)
-    print(f"wrote {OUTPUT} (cpu_count={results['cpu_count']})")
+    print(f"wrote {out} (cpu_count={results['cpu_count']})")
     return results
 
 
-def test_parallel_bench_smoke(capsys):
+def test_parallel_bench_smoke(tmp_path, capsys):
+    out = tmp_path / "BENCH_parallel.json"
     if not parallel_platform_supported():
         import pytest
 
         pytest.skip("platform lacks fork/POSIX shared memory")
     with capsys.disabled():
         print()
-        results = main(rows=200_000)
+        results = main(rows=200_000, out=str(out))
     # Byte identity is asserted inside main(); here only completeness.
     assert results["in_memory_int64"]["workers"].keys() == {"2", "4"}
     assert results["external_int64"]["workers"].keys() == {"2", "4"}
-    assert os.path.exists(OUTPUT)
+    assert out.exists()
 
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rows", type=int, default=DEFAULT_ROWS)
-    main(rows=parser.parse_args().rows)
+    parser.add_argument("--out", type=str, default=OUTPUT)
+    arguments = parser.parse_args()
+    main(rows=arguments.rows, out=arguments.out)

@@ -1,8 +1,8 @@
 """Real wall-clock benchmarks of the production sort operator itself.
 
 Unlike the figure benchmarks (which time the simulation harness), these
-time the actual numpy-backed sort: radix vs pdqsort run generation,
-multi-run merging, top-N, and external sort.
+time the actual numpy-backed sort: integer and string keys, multi-run
+merging, top-N, and external sort.
 """
 
 import numpy as np
@@ -78,7 +78,7 @@ def test_external_sort(benchmark, int_table, tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# Vectorized kernels: before/after comparison (see repro.sort.kernels)
+# Vectorized kernels (see repro.sort.kernels)
 # --------------------------------------------------------------------- #
 
 KERNEL_N = 200_000
@@ -96,38 +96,3 @@ def test_kernel_sort_200k_int64(benchmark, int64_table):
     spec = SortSpec.of("v")
     result = benchmark(lambda: sort_table(int64_table, spec))
     assert result.is_sorted_by(spec)
-
-
-def test_scalar_sort_200k_int64(benchmark, int64_table):
-    spec = SortSpec.of("v")
-    config = SortConfig(use_vector_kernels=False)
-    result = benchmark.pedantic(
-        lambda: sort_table(int64_table, spec, config), rounds=1, iterations=1
-    )
-    assert result.is_sorted_by(spec)
-
-
-def test_kernel_speedup_200k_int64(int64_table, capsys):
-    """The headline number: kernels on vs. off, measured in one process."""
-    import time
-
-    spec = SortSpec.of("v")
-
-    def best_of(config, rounds=3):
-        times = []
-        for _ in range(rounds):
-            start = time.perf_counter()
-            result = sort_table(int64_table, spec, config)
-            times.append(time.perf_counter() - start)
-        assert result.is_sorted_by(spec)
-        return min(times)
-
-    kernel = best_of(SortConfig())
-    scalar = best_of(SortConfig(use_vector_kernels=False), rounds=1)
-    speedup = scalar / kernel
-    with capsys.disabled():
-        print(
-            f"\n200k int64 end-to-end: kernels {KERNEL_N / kernel:,.0f} rows/s, "
-            f"scalar {KERNEL_N / scalar:,.0f} rows/s, speedup {speedup:.1f}x"
-        )
-    assert speedup >= 5.0

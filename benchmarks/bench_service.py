@@ -159,7 +159,7 @@ def bench_scenario(name: str, rows: int) -> dict:
     }
 
 
-def main(rows: int = DEFAULT_ROWS) -> dict:
+def main(rows: int = DEFAULT_ROWS, out: str = OUTPUT) -> dict:
     results = {
         "cpu_count": os.cpu_count(),
         "rows": rows,
@@ -171,7 +171,7 @@ def main(rows: int = DEFAULT_ROWS) -> dict:
     }
     for name in SCENARIO_NAMES:
         results["scenarios"][name] = bench_scenario(name, rows)
-    with open(OUTPUT, "w") as fh:
+    with open(out, "w") as fh:
         json.dump(results, fh, indent=2)
         fh.write("\n")
     for name, numbers in results["scenarios"].items():
@@ -183,23 +183,26 @@ def main(rows: int = DEFAULT_ROWS) -> dict:
             f"forced_spills={numbers['governor']['governor_forced_spills']} "
             f"revocations={numbers['governor']['revocations']}"
         )
-    print(f"wrote {OUTPUT} (cpu_count={results['cpu_count']})")
+    print(f"wrote {out} (cpu_count={results['cpu_count']})")
     return results
 
 
-def test_service_bench_smoke(capsys):
+def test_service_bench_smoke(tmp_path, capsys):
+    out = tmp_path / "BENCH_service.json"
     with capsys.disabled():
         print()
-        results = main(rows=50_000)
+        results = main(rows=50_000, out=str(out))
     # Byte identity and governor pressure are asserted inside main();
     # here only completeness of the recorded shape.
     assert set(results["scenarios"]) == set(SCENARIO_NAMES)
     for numbers in results["scenarios"].values():
         assert numbers["latency_p99_s"] >= numbers["latency_p50_s"]
-    assert os.path.exists(OUTPUT)
+    assert out.exists()
 
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rows", type=int, default=DEFAULT_ROWS)
-    main(rows=parser.parse_args().rows)
+    parser.add_argument("--out", type=str, default=OUTPUT)
+    arguments = parser.parse_args()
+    main(rows=arguments.rows, out=arguments.out)

@@ -204,12 +204,19 @@ def ablation_block_size(
 def ablation_heuristic_chooser(num_rows: int = 50_000) -> FigureResult:
     """DuckDB's fixed rule vs the cost-based chooser (future work, IX).
 
-    Runs the real operator with each policy on two adversarial workloads:
-    narrow low-cardinality keys (radix's home turf) and a wide multi-key
-    sort of a small input (where pdqsort wins).
+    Times the two run-sort kernels the chooser decides between --
+    :func:`repro.sort.radix.radix_argsort` and the memcmp
+    :func:`repro.sort.pdqsort.pdq_argsort` -- on the normalized-key
+    matrix of two adversarial workloads: narrow low-cardinality keys
+    (radix's home turf) and a wide multi-key sort of a small input (where
+    pdqsort wins).  The ``heuristic`` row records
+    :func:`repro.sort.heuristic.choose_algorithm`'s pick and times the
+    choice plus the picked kernel.
     """
-    from repro.sort.operator import SortConfig, sort_table
-    from repro.table.table import Table
+    from repro.keys.normalizer import normalize_keys
+    from repro.sort.heuristic import choose_algorithm
+    from repro.sort.pdqsort import pdq_argsort
+    from repro.sort.radix import radix_argsort
 
     rng = np.random.default_rng(11)
     workloads = {
@@ -236,28 +243,45 @@ def ablation_heuristic_chooser(num_rows: int = 50_000) -> FigureResult:
         ["workload", "policy", "algorithm_used", "seconds"],
     )
     for name, (table, spec) in workloads.items():
-        reference = None
-        for policy in ("radix", "pdqsort", "heuristic"):
-            from repro.sort.operator import SortOperator
-            from repro.table.chunk import chunk_table
+        keys = normalize_keys(table, spec, include_row_id=True, row_id_width=8)
+        key_width = keys.layout.key_width
 
-            config = SortConfig(force_algorithm=policy)
-            operator = SortOperator(table.schema, spec, config)
+        def run_radix() -> np.ndarray:
+            # Stable over the key bytes, so it needs no row-id suffix.
+            return radix_argsort(keys.matrix[:, :key_width])
+
+        def run_pdqsort() -> np.ndarray:
+            # Unstable, so it compares whole rows: the row-id suffix makes
+            # every key distinct and pins the stable order.
+            raw = [row.tobytes() for row in keys.matrix]
+            return np.asarray(pdq_argsort(raw), dtype=np.int64)
+
+        kernels = {"radix": run_radix, "pdqsort": run_pdqsort}
+        seconds = {}
+        reference = None
+        for policy, kernel in kernels.items():
             start = time.perf_counter()
-            for chunk in chunk_table(table):
-                operator.sink(chunk)
-            output = operator.finalize()
-            elapsed = time.perf_counter() - start
+            order = kernel()
+            seconds[policy] = time.perf_counter() - start
             if reference is None:
-                reference = output
-            elif not output.equals(reference):
-                raise AssertionError(f"{policy} changed the sort result")
+                reference = order
+            elif not np.array_equal(order, reference):
+                raise AssertionError(f"{policy} changed the sort order")
             result.add(
                 workload=name,
                 policy=policy,
-                algorithm_used=operator.stats.algorithm,
-                seconds=elapsed,
+                algorithm_used=policy,
+                seconds=seconds[policy],
             )
+        start = time.perf_counter()
+        pick = choose_algorithm(keys.matrix, key_width)
+        choose_seconds = time.perf_counter() - start
+        result.add(
+            workload=name,
+            policy="heuristic",
+            algorithm_used=pick,
+            seconds=choose_seconds + seconds[pick],
+        )
     return result
 
 

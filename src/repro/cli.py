@@ -113,11 +113,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "-o", "--output", help="output CSV path (default: stdout)"
     )
     sort_cmd.add_argument(
-        "--algorithm",
-        choices=["radix", "pdqsort", "heuristic"],
-        help="override the run-sort algorithm choice",
-    )
-    sort_cmd.add_argument(
         "--external",
         action="store_true",
         help="spill sorted runs to disk (out-of-core sort)",
@@ -323,8 +318,6 @@ def _emit(table: Table, output: str | None) -> None:
 def _cmd_sort(args: argparse.Namespace) -> int:
     table = read_csv(args.input)
     kwargs = {}
-    if args.algorithm:
-        kwargs["force_algorithm"] = args.algorithm
     if args.run_threshold:
         kwargs["run_threshold"] = args.run_threshold
     if args.workers < 1:
@@ -412,15 +405,14 @@ def _print_sort_stats(stats) -> None:
             f"peak_blocks={stats.prefetch_peak_blocks}",
             file=err,
         )
-    if stats.algorithm:
-        print(f"algorithm: {stats.algorithm}", file=err)
+    if stats.vector_sort_paths:
+        paths = " ".join(
+            f"{path}={count}"
+            for path, count in sorted(stats.vector_sort_paths.items())
+        )
+        print(f"vector_sort: {paths}", file=err)
     print(f"prefix_exact: {stats.prefix_exact}", file=err)
-    print(
-        "merges: "
-        f"kway_kernel={stats.kernel_kway_merges} "
-        f"kway_scalar={stats.scalar_kway_merges}",
-        file=err,
-    )
+    print(f"merges: kway_kernel={stats.kernel_kway_merges}", file=err)
     print(
         "offset_value_coding: "
         f"compares={stats.ovc_compares} ties={stats.ovc_ties}",

@@ -555,11 +555,12 @@ def msd_radix_sort(
     return None
 
 
-def duckdb_radix_sort(
-    layout: NormalizedKeyLayout, lsd_threshold_bytes: int = 4
-) -> None:
-    """DuckDB's choice: LSD for keys of <= 4 bytes, MSD otherwise."""
-    if layout.num_columns * 4 <= lsd_threshold_bytes:
+def duckdb_radix_sort(layout: NormalizedKeyLayout) -> None:
+    """DuckDB's choice: LSD for keys of <= 4 bytes, MSD otherwise.
+
+    Simulated key columns are 4 bytes wide, so that is one column.
+    """
+    if layout.num_columns <= 1:
         lsd_radix_sort(layout)
     else:
         msd_radix_sort(layout)

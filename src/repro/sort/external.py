@@ -67,15 +67,10 @@ point for the tests).  The degradation ladder on write failure:
 The operator is a context manager; ``close()`` (idempotent, also run by
 ``finalize`` and ``cancel``) always removes the temp files, recording any
 removal failure in ``SortStats.cleanup_errors`` instead of swallowing it.
-
-With ``SortConfig.use_vector_kernels`` off (or for cross-checking), the
-scalar fallback merges through the classic per-row tournament heap over
-the same streamed blocks.
 """
 
 from __future__ import annotations
 
-import heapq
 import os
 import secrets
 import tempfile
@@ -116,13 +111,10 @@ from repro.sort.kway import kway_merge_stream
 from repro.sort.operator import (
     SortConfig,
     SortStats,
-    _segmented_argsort,
     effective_run_threshold,
 )
 from repro.sort.parallel_exec import ParallelSortExecutor
-from repro.sort.pdqsort import pdqsort
 from repro.sort.prefetch import BlockPrefetcher, prefetch_budget_blocks
-from repro.sort.radix import radix_argsort
 from repro.sort.spillfile import (
     EXTRA_TAG_LAYOUT,
     EXTRA_TAG_OVC,
@@ -413,32 +405,14 @@ class SpilledRun:
         """The whole string heap (offsets in rows are run-relative)."""
         return self._read_section(_HEAP, 0, self.heap_bytes, stats)
 
-    def iter_key_blocks(
-        self,
-        block_rows: int,
-        key_bytes: int | None = None,
-        stats: SortStats | None = None,
-    ) -> Iterator[np.ndarray]:
-        """Yield (m, width) key blocks of at most ``block_rows`` rows.
-
-        ``key_bytes`` truncates each row to its leading bytes (the merge
-        drops the row-id suffix).  One seek+read per block.
-        """
-        for start in range(0, self.num_rows, block_rows):
-            stop = min(start + block_rows, self.num_rows)
-            block = self.read_key_block(start, stop, stats)
-            if key_bytes is not None and key_bytes != self.key_width:
-                block = block[:, :key_bytes]
-            yield block
-
 
 class InMemoryRun:
     """A sorted run kept resident: the no-spill-target degradation rung.
 
     Implements the same streaming read interface as :class:`SpilledRun`
-    (``read_key_block`` / ``read_row_block`` / ``read_heap`` /
-    ``iter_key_blocks``), so the k-way merge works unchanged over a mix
-    of spilled and in-memory runs when some spills failed over to memory.
+    (``read_key_block`` / ``read_row_block`` / ``read_heap``), so the
+    k-way merge works unchanged over a mix of spilled and in-memory runs
+    when some spills failed over to memory.
     """
 
     on_disk = False
@@ -487,18 +461,6 @@ class InMemoryRun:
     def read_heap(self, stats: SortStats | None = None) -> bytes:
         return self._heap
 
-    def iter_key_blocks(
-        self,
-        block_rows: int,
-        key_bytes: int | None = None,
-        stats: SortStats | None = None,
-    ) -> Iterator[np.ndarray]:
-        for start in range(0, self.num_rows, block_rows):
-            block = self._keys[start : min(start + block_rows, self.num_rows)]
-            if key_bytes is not None and key_bytes != self.key_width:
-                block = block[:, :key_bytes]
-            yield block
-
 
 class ExternalSortOperator:
     """Sort that spills sorted runs to disk and streams the merge.
@@ -512,8 +474,8 @@ class ExternalSortOperator:
     ``spill_directory`` defaults to a fresh temporary directory;
     ``SortConfig.spill_directories`` names failover targets tried in
     order when writes to the primary keep failing, after which runs fall
-    back to memory.  ``stats`` records run counts, kernel-vs-scalar
-    k-way merges, the merge's peak frontier size, per-phase
+    back to memory.  ``stats`` records run counts, k-way merge
+    phases, the merge's peak frontier size, per-phase
     (encode / run_gen / merge / spill_io) wall-clock, and the fault
     counters (retries, failovers, memory fallbacks, checksum
     verifications/failures, cleanup errors).
@@ -571,10 +533,8 @@ class ExternalSortOperator:
         )
         # Key-carried runs: when the key segments alone can reconstruct
         # every column exactly, spill the sorted keys and nothing else.
-        self._key_carried = (
-            self._compress
-            and self.config.use_vector_kernels
-            and key_carried_eligible(schema, spec)
+        self._key_carried = self._compress and key_carried_eligible(
+            schema, spec
         )
         self._final_layout: KeyLayout | None = None
         # Uncompressed runs all share one locked layout (the VARCHAR
@@ -672,7 +632,7 @@ class ExternalSortOperator:
         serial counterpart because stable sorts of the same key bytes
         produce the same permutation.
         """
-        if self.config.num_workers <= 1 or not self.config.use_vector_kernels:
+        if self.config.num_workers <= 1:
             return None
         if self._parallel is None:
             self._parallel = ParallelSortExecutor(
@@ -783,9 +743,7 @@ class ExternalSortOperator:
         exact_strings = not keys.prefix_exact and self.config.exact_varchar
         with self.stats.time_phase("run_gen"):
             order = self._parallel_argsort(keys)
-            if order is not None:
-                pass
-            elif self.config.use_vector_kernels:
+            if order is None:
                 # Stable vectorized sort of the key bytes (MSD radix or
                 # argsort/lexsort per the width/skew heuristic); the
                 # ascending row-id suffix makes any stable kernel's
@@ -796,28 +754,7 @@ class ExternalSortOperator:
                     self.stats,
                     self.stats.radix,
                 )
-            elif exact_strings:
-                # Scalar reference: prefix bytes alone are not the order,
-                # so compare per segment, consulting the full strings.
-                order = _segmented_argsort(table, keys, self.spec)
-            elif self._has_string_key and self.config.force_algorithm != "radix":
-                raw = [
-                    keys.matrix[i].tobytes() for i in range(len(table))
-                ]
-                order_list = list(range(len(table)))
-                pdqsort(order_list, lambda i, j: raw[i] < raw[j])
-                order = np.asarray(order_list, dtype=np.int64)
-            else:
-                # Stable radix over the key bytes only (see SortOperator).
-                order = radix_argsort(
-                    keys.matrix[:, : keys.layout.key_width],
-                    vector_threshold=None,
-                )
-            if (
-                exact_strings
-                and self.config.use_vector_kernels
-                and not refinement_must_defer(keys.layout)
-            ):
+            if exact_strings and not refinement_must_defer(keys.layout):
                 # With later key bytes after the truncated VARCHAR
                 # segment, refining here would spill runs the k-way
                 # kernel cannot merge (no longer byte-sorted); such
@@ -825,11 +762,7 @@ class ExternalSortOperator:
                 # refinement produces the exact order instead.
                 order = self._refine_run_order(table, keys, order)
             sorted_keys = np.ascontiguousarray(keys.matrix[order])
-            ovc = (
-                ovc_codes(sorted_keys[:, : keys.layout.key_width])
-                if self.config.use_vector_kernels
-                else None
-            )
+            ovc = ovc_codes(sorted_keys[:, : keys.layout.key_width])
             if self._key_carried:
                 # The keys alone reconstruct every column: spill nothing
                 # else.  Payload rows and heap shrink to zero bytes.
@@ -893,7 +826,7 @@ class ExternalSortOperator:
     def _refine_run_order(self, table, keys, order) -> np.ndarray:
         """Exact-string repair of one run's prefix-sorted permutation.
 
-        Same contract as ``SortOperator._refine_run_order``: rows tied on
+        Same contract as ``SortOperator._refine_order``: rows tied on
         the truncated VARCHAR prefixes are re-encoded against the full
         strings (:func:`repro.sort.stringsort.refine_key_order`), so the
         spilled run is in exact string order before its bytes hit disk.
@@ -1081,24 +1014,20 @@ class ExternalSortOperator:
     def _merge_streams(self) -> Table:
         """K-way merge of spilled runs, ``merge_block_rows`` rows at a time.
 
-        With vector kernels on, the merge runs through the block-streaming
-        frontier kernel (:func:`repro.sort.kernels.kway_merge_blocks`):
-        each round refills at most one key block per run, finds the global
-        cutoff from the frontier tails, and emits everything below it with
-        one lexsort pass -- never holding more than ``k * merge_block_rows``
+        The merge runs through the block-streaming frontier kernel
+        (:func:`repro.sort.kernels.kway_merge_blocks`): each round refills
+        at most one key block per run, finds the global cutoff from the
+        frontier tails, and emits everything below it in one run-adaptive
+        ordering pass -- never holding more than ``k * merge_block_rows``
         key rows.  Payload rows are gathered per emitted round with one
-        contiguous read per contributing run.  The scalar path keeps the
-        per-row tournament heap over the same streamed blocks.  Both paths
-        poll the cancellation flag at block/round granularity.
+        contiguous read per contributing run.  The cancellation flag is
+        polled once per round.
         """
         layout = RowLayout.for_schema(self.schema)
         has_strings = any(slot.is_string for slot in layout.slots)
-        if self.config.use_vector_kernels:
-            self._collapse_runs(layout, has_strings)
-            self.stats.merge_passes += 1
-            return self._merge_streams_kernel(layout, has_strings)
+        self._collapse_runs(layout, has_strings)
         self.stats.merge_passes += 1
-        return self._merge_streams_scalar(layout, has_strings)
+        return self._merge_streams_kernel(layout, has_strings)
 
     def _refine_end(self) -> int | None:
         """First inexact key byte, or ``None`` when byte order is exact."""
@@ -1590,18 +1519,11 @@ class ExternalSortOperator:
         merge layout -- rebasing moves word boundaries, which would make
         them stale.
         """
-        final = self._final_layout
-        codes = run.ovc
-        if codes is not None and final is not None and run.layout != final:
-            codes = None
         for start in range(0, run.num_rows, self.merge_block_rows):
             stop = min(start + self.merge_block_rows, run.num_rows)
-            block = run.read_key_block(start, stop, self.stats)
-            if final is not None and run.layout is not None:
-                block = rebase_matrix(block, run.layout, final)
-            if block.shape[1] != merge_width:
-                block = block[:, :merge_width]
-            yield block, (None if codes is None else codes[start:stop])
+            yield self._fetch_key_block(
+                run, start, stop, merge_width, self.stats
+            )
 
     def _gather_key_blocks(
         self,
@@ -1682,138 +1604,6 @@ class ExternalSortOperator:
             ).reshape(-1, 4)
         return heap_cursor
 
-    # ------------------------------------------------------------------ #
-    # Scalar (tournament heap) merge path
-    # ------------------------------------------------------------------ #
-
-    def _merge_streams_scalar(
-        self, layout: RowLayout, has_strings: bool
-    ) -> Table:
-        self.stats.scalar_kway_merges += 1
-        heaps = (
-            [run.read_heap(self.stats) for run in self._runs]
-            if has_strings
-            else [b""] * len(self._runs)
-        )
-
-        out_blocks: list[RowBlock] = []
-        pending_rows: list[np.ndarray] = []
-        pending_heap_parts: list[bytes] = []
-        pending_heap_bytes = 0
-        row_cache: dict[int, tuple[int, np.ndarray]] = {}
-
-        def fetch_row(run_index: int, position: int) -> np.ndarray:
-            """Payload row by position, reading block-sized slices."""
-            cached = row_cache.get(run_index)
-            if cached is None or not (
-                cached[0] <= position < cached[0] + len(cached[1])
-            ):
-                start = (
-                    position // self.merge_block_rows
-                ) * self.merge_block_rows
-                stop = min(
-                    start + self.merge_block_rows,
-                    self._runs[run_index].num_rows,
-                )
-                cached = (
-                    start,
-                    self._runs[run_index].read_row_block(
-                        start, stop, self.stats
-                    ),
-                )
-                row_cache[run_index] = cached
-            return cached[1][position - cached[0]]
-
-        def flush_pending() -> None:
-            nonlocal pending_heap_bytes
-            if not pending_rows:
-                return
-            rows = np.stack(pending_rows)
-            block = RowBlock(layout, rows, b"".join(pending_heap_parts))
-            out_blocks.append(block)
-            pending_rows.clear()
-            pending_heap_parts.clear()
-            pending_heap_bytes = 0
-
-        for run_index, position in self._heap_order():
-            self._check_cancelled()
-            if has_strings:
-                row = fetch_row(run_index, position).copy()
-                row, heap_part = _rebase_strings(
-                    layout, row, heaps[run_index], pending_heap_bytes
-                )
-                pending_heap_parts.append(heap_part)
-                pending_heap_bytes += len(heap_part)
-            else:
-                row = fetch_row(run_index, position)
-            pending_rows.append(row)
-            if len(pending_rows) >= self.merge_block_rows:
-                flush_pending()
-        flush_pending()
-        if not out_blocks:
-            return Table.empty(self.schema)
-        first, *rest = [block.to_table() for block in out_blocks]
-        return first.concat(*rest)
-
-    def _heap_order(self) -> Iterator[tuple[int, int]]:
-        """Scalar merge order: a tournament heap over per-row key bytes.
-
-        Keys stream block-by-block from the spill files (same bounded
-        reads as the kernel path); each popped row costs one Python heap
-        operation and one ``tobytes`` -- the per-tuple overhead the kernel
-        path eliminates.  When the key layout truncates a VARCHAR
-        prefix (and ``SortConfig.exact_varchar`` holds), the heap keys
-        are augmented per row: each truncated segment's bytes are
-        replaced by the full terminated string encoding
-        (:func:`_augmented_key`), so the scalar merge is exact too.
-        """
-        final = self._final_layout
-        key_layout = final or self._plain_layout
-        augment = (
-            key_layout is not None
-            and self.config.exact_varchar
-            and inexact_prefix_end(key_layout) is not None
-        )
-        row_layout = RowLayout.for_schema(self.schema) if augment else None
-
-        def raw_rows(run: SpilledRun | InMemoryRun) -> Iterator[bytes]:
-            # Full-width rows (row-id suffix included, globally ascending)
-            # so heap ties never happen; compressed runs rebase onto the
-            # final layout first so bytes compare across runs.
-            heap = run.read_heap(self.stats) if augment else b""
-            for start in range(0, run.num_rows, self.merge_block_rows):
-                stop = min(start + self.merge_block_rows, run.num_rows)
-                block = run.read_key_block(start, stop, self.stats)
-                if final is not None and run.layout is not None:
-                    block = rebase_matrix(block, run.layout, final)
-                if not augment:
-                    for i in range(len(block)):
-                        yield block[i].tobytes()
-                    continue
-                rows = np.ascontiguousarray(
-                    run.read_row_block(start, stop, self.stats)
-                )
-                decoded = RowBlock(row_layout, rows, heap).to_table()
-                for i in range(len(block)):
-                    yield _augmented_key(block[i], key_layout, decoded, i)
-
-        streams = [raw_rows(run) for run in self._runs]
-        heap: list[tuple[bytes, int, int]] = []
-        for run_index, stream in enumerate(streams):
-            first = next(stream, None)
-            if first is not None:
-                heap.append((first, run_index, 0))
-        heapq.heapify(heap)
-        while heap:
-            _, run_index, position = heapq.heappop(heap)
-            yield run_index, position
-            following = next(streams[run_index], None)
-            if following is not None:
-                heapq.heappush(
-                    heap, (following, run_index, position + 1)
-                )
-
-
 def external_sort_table(
     table: Table,
     spec: SortSpec | str,
@@ -1852,63 +1642,3 @@ def _trailing_tie_start(prefix: np.ndarray) -> int:
         return 0
     distinct = np.flatnonzero(np.any(prefix[1:] != prefix[:-1], axis=1))
     return int(distinct[-1]) + 1 if len(distinct) else 0
-
-
-def _augmented_key(
-    key_row: np.ndarray, key_layout: KeyLayout, decoded: Table, i: int
-) -> bytes:
-    """Variable-length comparable key bytes with full strings inlined.
-
-    Byte-wise identical semantics to the normalized key, except every
-    truncated VARCHAR segment's value bytes are replaced by the full
-    UTF-8 encoding plus a terminator: ``0x00`` ascending, ``0xFF`` after
-    byte-wise inversion descending.  Neither terminator can occur inside
-    the encoded value (UTF-8 of NUL-free text has no zero byte; inverted
-    bytes are at most 0xFE), so a comparison either decides inside the
-    string region or falls through to the next segment with alignment
-    intact.  NULL rows keep only the segment's null-marker byte, which
-    already separates them from every valid row.
-    """
-    parts: list[bytes] = []
-    cursor = 0
-    for segment in key_layout.segments:
-        if segment.prefix_exact:
-            continue
-        start = segment.offset + segment.total_width - segment.value_width
-        parts.append(key_row[cursor:start].tobytes())
-        cursor = segment.offset + segment.total_width
-        column = decoded.column(segment.key.column)
-        if column.validity[i]:
-            encoded = str(column.data[i]).encode("utf-8")
-            if segment.key.descending:
-                parts.append(bytes(255 - b for b in encoded) + b"\xff")
-            else:
-                parts.append(encoded + b"\x00")
-    parts.append(key_row[cursor:].tobytes())
-    return b"".join(parts)
-
-
-def _rebase_strings(
-    layout: RowLayout, row: np.ndarray, source_heap: bytes, heap_base: int
-) -> tuple[np.ndarray, bytes]:
-    """Copy a row's strings out of its run heap into the output heap.
-
-    Scalar-path helper; returns the adjusted row and the bytes to append
-    to the output heap.
-    """
-    parts: list[bytes] = []
-    cursor = heap_base
-    for col_index, slot in enumerate(layout.slots):
-        if not slot.is_string:
-            continue
-        byte_off, bit = layout.validity_position(col_index)
-        if not (int(row[byte_off]) >> bit) & 1:
-            continue
-        view = row[slot.offset : slot.offset + 8]
-        offset = int(np.ascontiguousarray(view[:4]).view(np.uint32)[0])
-        length = int(np.ascontiguousarray(view[4:]).view(np.uint32)[0])
-        parts.append(source_heap[offset : offset + length])
-        new_offset = np.array([cursor], dtype=np.uint32)
-        row[slot.offset : slot.offset + 4] = new_offset.view(np.uint8)
-        cursor += length
-    return row, b"".join(parts)

@@ -526,7 +526,7 @@ def kway_merge_blocks(
        :func:`merge_order`: a stable argsort of the first word left after
        the offset-value skip (timsort merges the k presorted prefixes in
        O(n log k)), then one lexsort over only the rows tied on that word
-       (ties resolve to the earlier run, matching the scalar heap).
+       (ties resolve to the earlier run, so the merge is stable).
 
     Progress is guaranteed: the run holding the cutoff drains its whole
     frontier each round.  At most one block per run is buffered, so the

@@ -46,17 +46,12 @@ from repro.sort.parallel_exec import (
     DEFAULT_MORSEL_ROWS as DEFAULT_PARALLEL_MORSEL_ROWS,
     ParallelSortExecutor,
 )
-from repro.sort.pdqsort import pdqsort
-from repro.sort.radix import (
-    LSD_WIDTH_THRESHOLD,
-    RadixStats,
-    radix_argsort,
-)
+from repro.sort.radix import RadixStats
 from repro.table.chunk import VECTOR_SIZE, DataChunk, chunk_table
 from repro.table.table import Table
 from repro.types.datatypes import TypeId
 from repro.types.schema import Schema
-from repro.types.sortspec import SortSpec, compare_values
+from repro.types.sortspec import SortSpec
 
 __all__ = [
     "SortConfig",
@@ -97,65 +92,6 @@ def effective_run_threshold(config: "SortConfig") -> int:
     return threshold
 
 
-def _segmented_compare(raw_a, raw_b, layout, spec, fetch_a, fetch_b) -> int:
-    """Three-way compare of two normalized keys, segment by segment.
-
-    Fixed-width segments are decided by their bytes.  A VARCHAR segment
-    whose (possibly truncated) prefix bytes tie falls back to comparing
-    the full string values -- fetched lazily via ``fetch_a``/``fetch_b``
-    (called with the key-column ordinal) -- before any later key column is
-    consulted.  This is the order DuckDB's "compare the rest of the string
-    only if the prefixes are equal" implies.
-    """
-    for col, segment in enumerate(layout.segments):
-        start = segment.offset
-        stop = start + segment.total_width
-        seg_a = raw_a[start:stop]
-        seg_b = raw_b[start:stop]
-        if seg_a != seg_b:
-            return -1 if seg_a < seg_b else 1
-        if segment.dtype.type_id is TypeId.VARCHAR:
-            cmp = compare_values(fetch_a(col), fetch_b(col), segment.key)
-            if cmp != 0:
-                return cmp
-    return 0
-
-
-def _segmented_argsort(table: Table, keys, spec: SortSpec) -> np.ndarray:
-    """Scalar pdqsort with segment-wise full-string tie-breaks.
-
-    The per-row comparator path for inexact string prefixes.  Production
-    sorts use the vectorized prefix sort plus
-    :func:`repro.sort.stringsort.refine_key_order` instead; this remains
-    as the ``use_vector_kernels=False`` reference oracle (shared by the
-    in-memory and external operators).
-    """
-    from repro.sort.pdqsort import pdqsort as _pdqsort
-
-    n = len(keys)
-    matrix = keys.matrix
-    raw = [matrix[i].tobytes() for i in range(n)]
-    key_table = table.select(spec.column_names)
-    layout = keys.layout
-
-    def less(i: int, j: int) -> bool:
-        cmp = _segmented_compare(
-            raw[i],
-            raw[j],
-            layout,
-            spec,
-            lambda col: key_table.column_at(col).value(i),
-            lambda col: key_table.column_at(col).value(j),
-        )
-        if cmp != 0:
-            return cmp < 0
-        return raw[i][layout.key_width:] < raw[j][layout.key_width:]
-
-    order = list(range(n))
-    _pdqsort(order, less)
-    return np.asarray(order, dtype=np.int64)
-
-
 DEFAULT_RUN_THRESHOLD = 1 << 17
 """Rows an external sort buffers before it cuts and spills a run."""
 
@@ -171,16 +107,7 @@ class SortConfig:
             this (cutting runs there never bounded memory).
         string_prefix: forced VARCHAR prefix length in normalized keys
             (default: chosen from the data, capped at 12 like DuckDB).
-        lsd_threshold: key byte width at or below which LSD radix is used.
-        force_algorithm: override DuckDB's algorithm choice; one of None
-            (DuckDB's rule: pdqsort iff strings present), "radix",
-            "pdqsort", or "heuristic" (the cost-based chooser of
-            :mod:`repro.sort.heuristic`, the paper's future-work item).
         vector_size: chunk granularity used by :func:`sort_table`.
-        use_vector_kernels: use the numpy kernels of
-            :mod:`repro.sort.kernels` (whole-row argsort, searchsorted
-            merge, vectorized radix bucket finishing) wherever memcmp
-            order is exact; off forces the scalar row-at-a-time paths.
         external: make the engine's ORDER BY run through the
             spilling :class:`repro.sort.external.ExternalSortOperator`
             instead of the in-memory operator.
@@ -205,11 +132,11 @@ class SortConfig:
             generation plus Merge-Path-partitioned merges over shared
             memory.  ``1`` (the default) keeps everything serial; any
             value is byte-identical to the serial kernels, and the
-            parallel path silently falls back to serial when vector
-            kernels are off or the platform lacks ``fork``/POSIX shared
-            memory.  Truncated string prefixes run in parallel: the
-            workers sort key bytes and the parent repairs prefix ties
-            afterwards (:mod:`repro.sort.stringsort`), same as serial.
+            parallel path silently falls back to serial when the
+            platform lacks ``fork``/POSIX shared memory.  Truncated
+            string prefixes run in parallel: the workers sort key bytes
+            and the parent repairs prefix ties afterwards
+            (:mod:`repro.sort.stringsort`), same as serial.
         parallel_morsel_rows: rows per run-generation morsel of the
             parallel path.
         compress_keys: shrink normalized keys from runtime statistics
@@ -225,12 +152,10 @@ class SortConfig:
             path (:mod:`repro.sort.stringsort`): byte-equal tie groups are
             re-encoded at progressively wider string offsets until the
             order is exact, once per in-memory sort and per external run
-            or settled merge batch.  On
-            by default -- string sorts are exact without the per-row
-            scalar comparator.  Turning it off is the documented escape
-            hatch for approximate prefix-only ordering and *requires* a
-            forced ``string_prefix`` (so the truncation is an explicit
-            choice, never an accident).
+            or settled merge batch.  On by default.  Turning it off is
+            the documented escape hatch for approximate prefix-only
+            ordering and *requires* a forced ``string_prefix`` (so the
+            truncation is an explicit choice, never an accident).
         use_ovc: apply offset-value coding in the merge kernels
             (:func:`repro.sort.kernels.merge_indices` /
             ``kway_merge_blocks``): uint64 words shared by every frontier
@@ -277,17 +202,13 @@ class SortConfig:
             limit, excess runs are first combined in intermediate passes
             that re-spill merged runs -- each pass re-reads and re-writes
             its input (``SortStats.merge_passes`` records the pass
-            count).  Ignored on the scalar path and when truncated
-            VARCHAR prefixes require exact-string refinement (those
-            merges stay single-pass).
+            count).  Ignored when truncated VARCHAR prefixes require
+            exact-string refinement (those merges stay single-pass).
     """
 
     run_threshold: int = DEFAULT_RUN_THRESHOLD
     string_prefix: int | None = None
-    lsd_threshold: int = LSD_WIDTH_THRESHOLD
-    force_algorithm: str | None = None
     vector_size: int = VECTOR_SIZE
-    use_vector_kernels: bool = True
     external: bool = False
     spill_directories: tuple[str, ...] = ()
     spill_retries: int = 2
@@ -316,11 +237,6 @@ class SortConfig:
             raise SortError("num_workers must be at least 1")
         if self.parallel_morsel_rows < 1:
             raise SortError("parallel_morsel_rows must be at least 1")
-        if self.force_algorithm not in (None, "radix", "pdqsort", "heuristic"):
-            raise SortError(
-                f"force_algorithm must be None, 'radix', 'pdqsort' or "
-                f"'heuristic', got {self.force_algorithm!r}"
-            )
         if self.spill_retries < 0:
             raise SortError("spill_retries must be non-negative")
         if self.prefetch_blocks < 0:
@@ -337,7 +253,7 @@ class SortConfig:
 
 @dataclass
 class SortStats:
-    """What the operator did: run counts, algorithm, merge work.
+    """What the operator did: run counts, sort kernels, merge work.
 
     The in-memory :class:`SortOperator` sorts its input as one run, so it
     reports ``runs_generated == 1`` (0 for empty input) and
@@ -346,9 +262,8 @@ class SortStats:
     merge, spill, prefetch and k-way counters below describe the external
     operator.
 
-    ``kernel_kway_merges`` / ``scalar_kway_merges`` count external k-way
-    merge phases by path (block-streaming kernel vs. per-row tournament
-    heap); ``kway_rounds`` and ``kway_peak_frontier_rows`` describe the
+    ``kernel_kway_merges`` counts external k-way merge phases;
+    ``kway_rounds`` and ``kway_peak_frontier_rows`` describe the
     kernel's frontier loop.  ``phase_seconds`` accumulates wall-clock per
     pipeline phase: ``encode`` (key normalization), ``run_gen`` (sorting
     runs), ``merge`` (merging runs, I/O excluded), and ``spill_io``
@@ -426,15 +341,13 @@ class SortStats:
     proper prefix of the spec was provided, and ``refine_fallbacks``
     refine attempts that fell back to a full sort (truncated-VARCHAR
     suffixes where :func:`repro.sort.stringsort.refinement_must_defer`
-    says byte order is inexact, or a scalar-only config).
+    says byte order is inexact).
     """
 
     rows_sorted: int = 0
     runs_generated: int = 0
-    algorithm: str = ""
     merge_rounds: int = 0
     kernel_kway_merges: int = 0
-    scalar_kway_merges: int = 0
     kway_rounds: int = 0
     kway_peak_frontier_rows: int = 0
     prefix_exact: bool = True
@@ -540,12 +453,11 @@ class SortOperator:
     def _parallel_executor(self) -> ParallelSortExecutor | None:
         """The lazily-created multi-core executor, or ``None`` if serial.
 
-        The parallel path requires the vector kernels (the executor runs
-        them in its workers).  It sorts key *bytes*; truncated string
-        prefixes are repaired afterwards by the same tie refinement
-        (:mod:`repro.sort.stringsort`) the serial vector path uses.
+        The executor sorts key *bytes*; truncated string prefixes are
+        repaired afterwards by the same tie refinement
+        (:mod:`repro.sort.stringsort`) the serial path uses.
         """
-        if self.config.num_workers <= 1 or not self.config.use_vector_kernels:
+        if self.config.num_workers <= 1:
             return None
         if self._parallel is None:
             self._parallel = ParallelSortExecutor(
@@ -582,33 +494,6 @@ class SortOperator:
     # Sort
     # ------------------------------------------------------------------ #
 
-    def _choose_algorithm(self, keys: NormalizedKeys) -> str:
-        forced = self.config.force_algorithm
-        if forced == "heuristic":
-            from repro.sort.heuristic import choose_algorithm
-
-            if not keys.prefix_exact and not self._vector_exact_strings():
-                # Without the vectorized tie repair, truncated string
-                # prefixes need per-row tie-breaking comparisons, which
-                # radix cannot perform.
-                return "pdqsort"
-            return choose_algorithm(keys.matrix, keys.layout.key_width)
-        if forced is not None:
-            return forced
-        # DuckDB's rule: pdqsort when strings are present, radix otherwise.
-        return "pdqsort" if self._has_string_key else "radix"
-
-    def _vector_exact_strings(self) -> bool:
-        """True when inexact prefixes are repaired on the vector path.
-
-        The vectorized prefix sort stays usable for truncated VARCHAR
-        prefixes because :func:`repro.sort.stringsort.refine_key_order`
-        re-sorts the byte-equal tie groups on the full strings afterwards;
-        with ``exact_varchar`` off the prefix order *is* the requested
-        order, so the vector path needs no repair either way.
-        """
-        return self.config.use_vector_kernels and self.config.exact_varchar
-
     def _encode(self, table: Table) -> NormalizedKeys:
         """Normalized keys of the whole input, in one pass."""
         # Uncompressed keys keep DuckDB's full 12-byte string prefix (the
@@ -632,9 +517,7 @@ class SortOperator:
             layout=layout,
         )
 
-    def _argsort(
-        self, table: Table, keys: NormalizedKeys, algorithm: str
-    ) -> np.ndarray:
+    def _argsort(self, keys: NormalizedKeys) -> np.ndarray:
         """The sorting permutation of the key bytes.
 
         Every vector kernel is a stable sort of the key bytes without the
@@ -649,43 +532,15 @@ class SortOperator:
             # so byte-identical to the serial kernels.
             order = executor.argsort(keys.matrix, key_width, self.stats)
             if order is not None:
-                self.stats.algorithm = "parallel-morsel"
                 return order
-        if self.config.use_vector_kernels:
-            # Width/row-count/skew heuristic picks the vectorized MSD
-            # radix kernel or the argsort/lexsort kernel.
-            return vector_sort_rows(
-                keys.matrix[:, :key_width],
-                key_width,
-                self.stats,
-                self.stats.radix,
-            )
-        if algorithm == "radix":
-            return radix_argsort(
-                keys.matrix[:, :key_width],
-                self.stats.radix,
-                self.config.lsd_threshold,
-                vector_threshold=None,
-            )
-        return self._pdq_argsort(table, keys)
-
-    def _pdq_argsort(self, table: Table, keys: NormalizedKeys) -> np.ndarray:
-        """Scalar pdqsort on memcmp of key bytes, with full-string ties.
-
-        The ``use_vector_kernels=False`` reference.  When every string fit
-        its prefix the key bytes (which end in the unique row id) order
-        rows exactly.  Otherwise the key *segments* are walked per row: a
-        VARCHAR segment whose truncated prefixes tie is resolved on the
-        full strings before any later key column is consulted -- DuckDB's
-        "compare the rest of the string only if the prefixes are equal".
-        """
-        if keys.prefix_exact or not self.config.exact_varchar:
-            matrix = keys.matrix
-            raw = [matrix[i].tobytes() for i in range(len(keys))]
-            order = list(range(len(keys)))
-            pdqsort(order, lambda i, j: raw[i] < raw[j])
-            return np.asarray(order, dtype=np.int64)
-        return _segmented_argsort(table, keys, self.spec)
+        # Width/row-count/skew heuristic picks the vectorized MSD radix
+        # kernel or the argsort/lexsort kernel.
+        return vector_sort_rows(
+            keys.matrix[:, :key_width],
+            key_width,
+            self.stats,
+            self.stats.radix,
+        )
 
     def _refine_order(
         self, table: Table, keys: NormalizedKeys, order: np.ndarray
@@ -737,20 +592,9 @@ class SortOperator:
             self.stats.key_width_full = plain_key_width(keys.layout)
             self.stats.prefix_exact = keys.prefix_exact
 
-            algorithm = self._choose_algorithm(keys)
-            if (
-                algorithm == "radix"
-                and not keys.prefix_exact
-                and not self._vector_exact_strings()
-            ):
-                # Radix cannot tie-break truncated string prefixes, and
-                # without the vector-path tie repair the only exact
-                # option is pdqsort with full-string comparisons.
-                algorithm = "pdqsort"
-            self.stats.algorithm = algorithm
             with self.stats.time_phase("run_gen"):
-                order = self._argsort(table, keys, algorithm)
-                if not keys.prefix_exact and self._vector_exact_strings():
+                order = self._argsort(keys)
+                if not keys.prefix_exact and self.config.exact_varchar:
                     order = self._refine_order(table, keys, order)
                 result = table.take(order)
             self.stats.runs_generated = 1

@@ -234,17 +234,10 @@ def msd_radix_argsort(
 
 
 def radix_argsort(
-    matrix: np.ndarray,
-    stats: RadixStats | None = None,
-    lsd_threshold: int = LSD_WIDTH_THRESHOLD,
-    vector_threshold: int | None = None,
+    matrix: np.ndarray, stats: RadixStats | None = None
 ) -> np.ndarray:
-    """DuckDB's algorithm choice: LSD for narrow keys, MSD otherwise.
-
-    ``vector_threshold`` is forwarded to :func:`msd_radix_argsort` to
-    finish buckets with the vectorized whole-row argsort kernel.
-    """
+    """DuckDB's algorithm choice: LSD for narrow keys, MSD otherwise."""
     _check_matrix(matrix)
-    if matrix.shape[1] <= lsd_threshold:
+    if matrix.shape[1] <= LSD_WIDTH_THRESHOLD:
         return lsd_radix_argsort(matrix, stats)
-    return msd_radix_argsort(matrix, stats, vector_threshold=vector_threshold)
+    return msd_radix_argsort(matrix, stats)

@@ -26,9 +26,9 @@ reproduces stable arrival-order ties.
 
 The pass declines (returns ``None``; the caller runs a full sort and
 counts a ``refine_fallbacks``) exactly where the cheap path cannot
-guarantee the operator's exact semantics: scalar-only configs, inexact
-keys under ``exact_varchar=False`` (the operator's byte-order output is
-not derivable from exact prefix groups), and suffixes where
+guarantee the operator's exact semantics: inexact keys under
+``exact_varchar=False`` (the operator's byte-order output is not
+derivable from exact prefix groups), and suffixes where
 :func:`repro.sort.stringsort.refinement_must_defer` reports key bytes
 *after* a truncated VARCHAR segment.  The must-defer check is consulted
 on the *suffix* layout (the prepended group ordinal is always exact):
@@ -92,8 +92,6 @@ def refine_sorted(
         # Nothing to refine: the prefix already covers the spec.
         stats.sorts_refined += 1
         return table
-    if not config.use_vector_kernels:
-        return None
 
     n = table.num_rows
     suffix = SortSpec(spec.keys[len(prefix.keys):])

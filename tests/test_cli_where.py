@@ -172,12 +172,16 @@ class TestCli:
         assert captured.startswith("country,year")
 
     def test_sort_external_and_algorithm(self, tmp_path, capsys):
+        # --stats reports the sort kernel that ran for each spilled run.
         source = make_csv(tmp_path)
         code = main(
-            ["sort", source, "--by", "year", "--algorithm", "pdqsort",
-             "--run-threshold", "2"]
+            ["sort", source, "--by", "year", "--external",
+             "--run-threshold", "2", "--stats"]
         )
         assert code == 0
+        err = capsys.readouterr().err
+        assert "vector_sort: argsort-1word=" in err
+        assert "merges: kway_kernel=1" in err
 
     def test_sql(self, tmp_path, capsys):
         source = make_csv(tmp_path)

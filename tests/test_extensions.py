@@ -23,13 +23,11 @@ from repro.sort.heuristic import (
     choose_algorithm,
     estimate_costs,
 )
-from repro.sort.operator import SortConfig, sort_table
 from repro.sort.radix import RadixStats, msd_radix_argsort
 from repro.table.column import ColumnVector
 from repro.table.io import read_csv, table_to_csv_string, write_csv
 from repro.table.table import Table
 from repro.types.datatypes import INTEGER, VARCHAR
-from repro.types.sortspec import SortSpec
 
 
 class TestHeuristic:
@@ -67,22 +65,6 @@ class TestHeuristic:
         estimate = estimate_costs(KeyStatistics.measure(matrix))
         assert estimate.radix_cost > 0 and estimate.pdqsort_cost > 0
         assert estimate.choice in ("radix", "pdqsort")
-
-    def test_operator_heuristic_mode_correct(self, rng):
-        table = Table.from_numpy(
-            {"a": rng.integers(0, 1000, 2000).astype(np.int32)}
-        )
-        config = SortConfig(force_algorithm="heuristic")
-        spec = SortSpec.of("a")
-        result = sort_table(table, spec, config)
-        assert result.is_sorted_by(spec)
-
-    def test_operator_heuristic_with_strings(self):
-        values = ["x" * 20 + str(i) for i in (3, 1, 2)]
-        table = Table.from_pydict({"s": values})
-        config = SortConfig(force_algorithm="heuristic")
-        result = sort_table(table, "s", config)
-        assert result.column("s").to_pylist() == sorted(values)
 
 
 class TestMsdPdqFallback:

@@ -1,9 +1,9 @@
 """Cross-checks of the block-streaming external k-way merge.
 
-The kernel path (frontier blocks + cutoff + one lexsort per round) must be
-byte-identical to the scalar tournament-heap fallback on every workload the
-external sort accepts, and its working set must stay bounded by
-``k * merge_block_rows`` key rows no matter the input size.
+The kernel path (frontier blocks + cutoff + one ordering pass per round)
+must be byte-identical to the tuple-compare reference sort on every
+workload the external sort accepts, and its working set must stay bounded
+by ``k * merge_block_rows`` key rows no matter the input size.
 """
 
 import numpy as np
@@ -45,17 +45,11 @@ SPECS = [
 ]
 
 
-def run_external(
-    table, spec, use_vector_kernels, tmp_path, run_threshold,
-    merge_block_rows=4096,
-):
+def run_external(table, spec, tmp_path, run_threshold, merge_block_rows=4096):
     operator = ExternalSortOperator(
         table.schema,
         SortSpec.of(*[part.strip() for part in spec.split(",")]),
-        SortConfig(
-            run_threshold=run_threshold,
-            use_vector_kernels=use_vector_kernels,
-        ),
+        SortConfig(run_threshold=run_threshold),
         spill_directory=str(tmp_path),
         merge_block_rows=merge_block_rows,
     )
@@ -77,22 +71,23 @@ def assert_byte_identical(left, right):
 
 
 class TestKernelVsScalarHeap:
+    """The kernel merge against the row-at-a-time reference sort."""
+
     @pytest.mark.parametrize("spec", SPECS)
     def test_randomized_byte_identical(self, rng, tmp_path, spec):
         table = mixed_table(rng, 6000)
-        kernel, op_kernel = run_external(table, spec, True, tmp_path, 1000)
-        scalar, op_scalar = run_external(table, spec, False, tmp_path, 1000)
-        assert op_kernel.stats.runs_generated >= 4
-        assert op_kernel.stats.kernel_kway_merges == 1
-        assert op_scalar.stats.scalar_kway_merges == 1
-        assert_byte_identical(kernel, scalar)
+        kernel, operator = run_external(table, spec, tmp_path, 1000)
+        assert operator.stats.runs_generated >= 4
+        assert operator.stats.kernel_kway_merges == 1
+        expected = reference_sort(
+            table, SortSpec.of(*[part.strip() for part in spec.split(",")])
+        )
+        assert_byte_identical(expected, kernel)
 
     def test_matches_reference_and_in_memory(self, rng, tmp_path):
         table = mixed_table(rng, 1200)
         spec = SortSpec.of("a NULLS FIRST", "s DESC")
-        result, _ = run_external(
-            table, "a NULLS FIRST, s DESC", True, tmp_path, 300
-        )
+        result, _ = run_external(table, "a NULLS FIRST, s DESC", tmp_path, 300)
         assert result.equals(reference_sort(table, spec))
         assert result.equals(sort_table(table, spec))
 
@@ -115,7 +110,7 @@ class TestBoundedMemory:
     def test_frontier_never_exceeds_k_blocks(self, rng, tmp_path):
         table = mixed_table(rng, 8000)
         _, operator = run_external(
-            table, "a, s", True, tmp_path, 1000, merge_block_rows=128
+            table, "a, s", tmp_path, 1000, merge_block_rows=128
         )
         runs = operator.stats.runs_generated
         assert runs >= 4
@@ -152,9 +147,8 @@ class TestKernelSmoke:
     def test_spilled_sort_takes_kernel_kway_path(self, rng, tmp_path):
         """Tier-1 smoke: the block-streaming path actually runs."""
         table = mixed_table(rng, 3000)
-        result, operator = run_external(table, "a, f DESC", True, tmp_path, 500)
+        result, operator = run_external(table, "a, f DESC", tmp_path, 500)
         assert operator.stats.kernel_kway_merges > 0
-        assert operator.stats.scalar_kway_merges == 0
         assert operator.stats.kway_rounds > 0
         assert result.num_rows == table.num_rows
 
@@ -193,7 +187,12 @@ class TestSpillFormat:
             operator.sink(chunk)
         run = operator._runs[0]
         whole_keys = run.read_key_block(0, run.num_rows)
-        streamed = np.concatenate(list(run.iter_key_blocks(97)))
+        streamed = np.concatenate(
+            [
+                run.read_key_block(start, min(start + 97, run.num_rows))
+                for start in range(0, run.num_rows, 97)
+            ]
+        )
         assert (whole_keys == streamed).all()
         assert whole_keys.shape == (run.num_rows, run.key_width)
         rows = run.read_row_block(5, 25)
@@ -207,7 +206,7 @@ class TestSpillFormat:
 
     def test_phase_timings_recorded(self, rng, tmp_path):
         table = mixed_table(rng, 2000)
-        _, operator = run_external(table, "a, s", True, tmp_path, 400)
+        _, operator = run_external(table, "a, s", tmp_path, 400)
         phases = operator.stats.phase_seconds
         for phase in ("encode", "run_gen", "merge", "spill_io"):
             assert phases.get(phase, 0.0) > 0.0, phase

@@ -331,26 +331,18 @@ class TestPipelineIdentity:
         )
         assert_byte_identical(on, off)
 
-    def test_external_scalar_merge(self, rng, tmp_path):
+    def test_external_merge_matches_reference(self, rng, tmp_path):
         table = mixed_table(rng, 2500)
         spec = "a DESC NULLS FIRST, s"
-        on = external_sort_table(
-            table,
-            spec,
-            SortConfig(run_threshold=600, use_vector_kernels=False),
-            mkdir(tmp_path, "on"),
-        )
-        off = external_sort_table(
-            table,
-            spec,
-            SortConfig(
-                run_threshold=600,
-                use_vector_kernels=False,
-                compress_keys=False,
-            ),
-            mkdir(tmp_path, "off"),
-        )
-        assert_byte_identical(on, off)
+        expected = reference_sort(table, SortSpec.of("a DESC NULLS FIRST", "s"))
+        for compress in (True, False):
+            result = external_sort_table(
+                table,
+                spec,
+                SortConfig(run_threshold=600, compress_keys=compress),
+                mkdir(tmp_path, f"compress-{compress}"),
+            )
+            assert_byte_identical(expected, result)
 
     def test_all_null_key_column_full_pipelines(self, rng, tmp_path):
         table = mixed_table(rng, 1500, all_null_column=True)

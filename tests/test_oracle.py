@@ -9,7 +9,7 @@ stable, the oracle also pins tie order to input order, which every
 pipeline reproduces via the row-id key suffix.
 
 Each seed-deterministic random table is then pushed through the
-in-memory operator (vector kernels on and off), the spilling external
+in-memory operator (compressed and full-width keys), the spilling external
 operator, the parallel (multi-core) configuration, and Top-N, and each
 result must match the oracle byte for byte.
 """
@@ -127,11 +127,11 @@ def test_in_memory_matches_oracle(spec_text, size):
     table = random_table(rng, size)
     spec = SortSpec.of(*[p.strip() for p in spec_text.split(",")])
     expected = oracle_sort(table, spec)
-    for use_kernels in (True, False):
+    for compress_keys in (True, False):
         result = sort_table(
             table,
             spec,
-            SortConfig(run_threshold=500, use_vector_kernels=use_kernels),
+            SortConfig(run_threshold=500, compress_keys=compress_keys),
         )
         assert_byte_identical(expected, result)
 
@@ -257,18 +257,18 @@ def _assert_oracle(expected: Table, actual: Table, name: str, path: str):
         ) from exc
 
 
-@pytest.mark.parametrize("use_kernels", [True, False])
+@pytest.mark.parametrize("compress_keys", [True, False])
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_scenario_in_memory_matches_oracle(name, use_kernels):
+def test_scenario_in_memory_matches_oracle(name, compress_keys):
     table, spec = _scenario_case(name)
     expected = oracle_sort(table, spec)
     result = sort_table(
         table,
         spec,
-        SortConfig(run_threshold=500, use_vector_kernels=use_kernels),
+        SortConfig(run_threshold=500, compress_keys=compress_keys),
     )
     _assert_oracle(
-        expected, result, name, f"in_memory(kernels={use_kernels})"
+        expected, result, name, f"in_memory(compress_keys={compress_keys})"
     )
 
 

@@ -143,7 +143,6 @@ class TestDifferentialByteIdentity:
             operator.sink(chunk)
         operator.finalize()
         stats = operator.stats
-        assert stats.algorithm == "parallel-morsel"
         assert stats.parallel_workers == 2
         assert sum(stats.parallel_task_rows["run_gen"]) == 4000 or (
             # multiple runs: each run's morsels sum to its run size
@@ -201,18 +200,6 @@ class TestFallbacks:
         serial = sort_table(table, "a", SortConfig(run_threshold=600))
         parallel = sort_table(table, "a", parallel_config(4, run_threshold=600))
         assert_byte_identical(serial, parallel)
-
-    def test_scalar_kernels_stay_serial(self, rng):
-        table = mixed_table(rng, 2000)
-        config = parallel_config(2, use_vector_kernels=False)
-        operator = SortOperator(table.schema, SortSpec.of("a"), config)
-        for chunk in chunk_table(table, 512):
-            operator.sink(chunk)
-        result = operator.finalize()
-        assert operator.stats.parallel_workers == 0
-        assert_byte_identical(
-            sort_table(table, "a", SortConfig()), result
-        )
 
     def test_invalid_config_rejected(self):
         with pytest.raises(SortError):

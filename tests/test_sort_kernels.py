@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import reference_sort
+from test_external_kway import assert_byte_identical
 from repro.errors import SortError
 from repro.sort import kernels
 from repro.sort.external import external_sort_table
@@ -43,13 +44,6 @@ def random_matrix(rng, n, width, alphabet=256):
 
 def row_bytes(matrix):
     return [matrix[i].tobytes() for i in range(len(matrix))]
-
-
-def tmp_path_mk(tmp_path, name):
-    """A fresh, existing spill directory under pytest's tmp_path."""
-    path = tmp_path / name
-    path.mkdir(exist_ok=True)
-    return path
 
 
 class TestVoidView:
@@ -315,24 +309,14 @@ MIXED_SPECS = [
 
 
 class TestOperatorCrossCheck:
-    """Kernel and scalar operator paths must be byte-identical end to end."""
+    """The operator must be byte-identical to the reference end to end."""
 
     def _cross_check(self, table, spec, run_threshold):
         spec = SortSpec.of(*[part.strip() for part in spec.split(",")])
-        on = sort_table(
+        result = sort_table(
             table, spec, SortConfig(run_threshold=run_threshold, vector_size=16)
         )
-        off = sort_table(
-            table,
-            spec,
-            SortConfig(
-                run_threshold=run_threshold,
-                vector_size=16,
-                use_vector_kernels=False,
-            ),
-        )
-        assert on.equals(off)
-        assert on.equals(reference_sort(table, spec))
+        assert_byte_identical(reference_sort(table, spec), result)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -359,8 +343,8 @@ class TestOperatorCrossCheck:
         self._cross_check(table, spec_text, run_threshold)
 
     def test_truncated_varchar_prefixes(self, rng):
-        # Strings sharing a >12-byte prefix force the inexact scalar
-        # fallback in BOTH configurations; outputs must still agree.
+        # Strings sharing a >12-byte prefix leave the key bytes inexact;
+        # the string repair must still reproduce the reference order.
         values = [f"{'common-prefix-x'}{int(i):04d}" for i in rng.integers(0, 40, 400)]
         table = Table.from_pydict({"s": values, "seq": list(range(400))})
         self._cross_check(table, "s DESC, seq", 64)
@@ -372,9 +356,8 @@ class TestOperatorCrossCheck:
         assert result.column("seq").to_pylist() == list(range(n))
 
     def test_inexact_prefix_stays_on_kernel_path(self):
-        # Strings tying beyond the 12-byte prefix used to demote every
-        # merge to the scalar comparator; the vector path now repairs the
-        # tie groups instead and the scalar merge never runs.
+        # Strings tying beyond the 12-byte prefix are repaired by
+        # re-sorting the tie groups on the full strings.
         values = [f"{'y' * 13}{i:03d}" for i in range(300)]
         table = Table.from_pydict({"s": values})
         op = SortOperator(table.schema, SortSpec.of("s"), SortConfig(run_threshold=64))
@@ -394,29 +377,20 @@ class TestExternalCrossCheck:
             }
         )
         spec = SortSpec.of("a DESC", "b")
-        config_on = SortConfig(run_threshold=256)
-        config_off = SortConfig(run_threshold=256, use_vector_kernels=False)
-        on = external_sort_table(table, spec, config_on, str(tmp_path_mk(tmp_path, "on")))
-        off = external_sort_table(table, spec, config_off, str(tmp_path_mk(tmp_path, "off")))
-        assert on.equals(off)
-        assert on.equals(reference_sort(table, spec))
+        result = external_sort_table(
+            table, spec, SortConfig(run_threshold=256), str(tmp_path)
+        )
+        assert_byte_identical(reference_sort(table, spec), result)
 
     def test_strings(self, rng, tmp_path):
         words = ["pear", "fig", "apple", "kiwi", "plum", None, "date"]
         values = [words[i] for i in rng.integers(0, len(words), 900)]
         table = Table.from_pydict({"s": values, "seq": list(range(900))})
         spec = SortSpec.of("s NULLS FIRST", "seq")
-        on = external_sort_table(
-            table, spec, SortConfig(run_threshold=128), str(tmp_path_mk(tmp_path, "on"))
+        result = external_sort_table(
+            table, spec, SortConfig(run_threshold=128), str(tmp_path)
         )
-        off = external_sort_table(
-            table,
-            spec,
-            SortConfig(run_threshold=128, use_vector_kernels=False),
-            str(tmp_path_mk(tmp_path, "off")),
-        )
-        assert on.equals(off)
-        assert on.equals(reference_sort(table, spec))
+        assert_byte_identical(reference_sort(table, spec), result)
 
 
 class TestChunkColumns:

@@ -23,10 +23,6 @@ class TestSortConfig:
         with pytest.raises(SortError):
             SortConfig(run_threshold=0)
 
-    def test_invalid_algorithm(self):
-        with pytest.raises(SortError):
-            SortConfig(force_algorithm="timsort")
-
 
 class TestBasicSorting:
     def test_paper_example(self, small_table):
@@ -110,34 +106,6 @@ class TestMultiRunMerging:
         config = SortConfig(run_threshold=64)
         result = sort_table(table, SortSpec.of("k"), config)
         assert result.column("seq").to_pylist() == list(range(n))
-
-    def test_algorithm_choice_radix_for_fixed(self, rng):
-        table = Table.from_numpy(
-            {"a": rng.integers(0, 100, 300).astype(np.int32)}
-        )
-        op = SortOperator(table.schema, SortSpec.of("a"))
-        for chunk in chunk_table(table):
-            op.sink(chunk)
-        op.finalize()
-        assert op.stats.algorithm == "radix"
-
-    def test_algorithm_choice_pdq_for_strings(self):
-        table = Table.from_pydict({"s": ["b", "a", "c"]})
-        op = SortOperator(table.schema, SortSpec.of("s"))
-        for chunk in chunk_table(table):
-            op.sink(chunk)
-        op.finalize()
-        assert op.stats.algorithm == "pdqsort"
-
-    def test_force_algorithm(self):
-        table = Table.from_pydict({"a": [3, 1, 2]})
-        config = SortConfig(force_algorithm="pdqsort")
-        op = SortOperator(table.schema, SortSpec.of("a"), config)
-        for chunk in chunk_table(table):
-            op.sink(chunk)
-        result = op.finalize()
-        assert op.stats.algorithm == "pdqsort"
-        assert result.column("a").to_pylist() == [1, 2, 3]
 
 
 class TestStringTruncation:

@@ -6,10 +6,6 @@ workloads the key prefix cannot decide (long strings, shared prefixes,
 duplicate-heavy distributions, NULLs, DESC / NULLS FIRST), plus property
 tests of the offset-value coding used by the merges and the escape hatch
 that restores the old truncated-prefix semantics.
-
-No external workload here may demote to a scalar merge: the stats
-assertions pin the vector path (``scalar_kway_merges == 0``) while the
-outputs stay byte-identical to the oracle.
 """
 
 from __future__ import annotations
@@ -167,7 +163,6 @@ class TestExternalExact:
             result = operator.finalize()
         assert operator.spilled_runs >= 4
         assert_matches_oracle(result, table, spec)
-        assert operator.stats.scalar_kway_merges == 0
         assert operator.stats.kernel_kway_merges == 1
         assert not operator.stats.prefix_exact
         assert operator.stats.full_key_compares > 0
@@ -186,15 +181,6 @@ class TestExternalExact:
         # Nearly all frontier rows tie on every key word; the stored
         # codes and the per-round skip must prove it without compares.
         assert operator.stats.ovc_ties > 0
-
-    def test_scalar_merge_oracle_agrees(self, tmp_path):
-        # use_vector_kernels=False is the cross-checking scalar heap;
-        # it must produce the identical exact order via augmented keys.
-        table = string_table(11, 3000)
-        spec = spec_of("s DESC NULLS LAST, i DESC")
-        config = SortConfig(run_threshold=800, use_vector_kernels=False)
-        result = external_sort_table(table, spec, config, str(tmp_path))
-        assert_matches_oracle(result, table, spec)
 
     def test_ovc_on_off_same_bytes(self, tmp_path):
         table = string_table(13, 4000, dup_heavy=True)
